@@ -73,8 +73,6 @@
 #include "sim/registry.hh"
 #include "sim/trace_engine.hh"
 #include "sweep/runner.hh"
-#include "trace/trace_io.hh"
-#include "trace/trace_v2.hh"
 
 using namespace pifetch;
 
@@ -91,7 +89,6 @@ usage(std::FILE *out)
         "  run <experiment>          run one experiment\n"
         "  sweep <experiment> --param key=v1,v2,...\n"
         "                            run a parameter grid\n"
-        "  trace pack|unpack|info    convert/inspect trace files\n"
         "  golden [--list|<exp>]     emit canonical golden JSON\n"
         "  perf [--list|options]     time the hot kernels\n"
         "  check [options]           fuzz + differential validation\n"
@@ -126,12 +123,6 @@ usage(std::FILE *out)
         "                 manifest (used by the scheduler)\n"
         "  --merge        assemble merged.json from completed shards\n"
         "                 without running anything\n"
-        "\n"
-        "trace verbs:\n"
-        "  pack <in> <out>    convert a v1 (or v2) trace to v2\n"
-        "                     (delta/varint chunks, ~5-10x smaller)\n"
-        "  unpack <in> <out>  convert back to fixed-record v1\n"
-        "  info <file> [--json FILE|-]  header/chunk-index summary\n"
         "\n"
         "perf options:\n"
         "  --list         enumerate the kernels and exit\n"
@@ -188,7 +179,7 @@ usage(std::FILE *out)
         "\n"
         "lint options:\n"
         "  paths...       repo-relative path prefixes to scan\n"
-        "                 (default: src bench examples tests)\n"
+        "                 (default: src examples tests)\n"
         "  --rule ID      run only rule ID (repeatable)\n"
         "  --root DIR     repository root (default: the checkout\n"
         "                 this binary was built from)\n"
@@ -863,178 +854,6 @@ cmdSweep(int argc, char **argv)
     const ResultValue doc = assembleSweepDoc(manifest,
                                              std::move(docs));
     return emitSweepDoc(opts, doc);
-}
-
-/** `pifetch trace info` document for one trace file. */
-std::optional<ResultValue>
-traceInfoDoc(const std::string &path, std::string *err)
-{
-    const auto format = probeTraceFile(path, err);
-    if (!format)
-        return std::nullopt;
-    ResultValue doc = ResultValue::object();
-    doc.set("path", path);
-    if (*format == TraceFileFormat::V1) {
-        std::vector<RetiredInstr> records;
-        if (!readTrace(path, records)) {
-            if (err)
-                *err = path + ": invalid v1 trace";
-            return std::nullopt;
-        }
-        doc.set("format", "pifetch-trace-v1");
-        doc.set("records", records.size());
-        const std::uint64_t bytes = 16 + 24 * records.size();
-        doc.set("fileBytes", bytes);
-        if (!records.empty())
-            doc.set("bytesPerRecord",
-                    static_cast<double>(bytes) /
-                        static_cast<double>(records.size()));
-        return doc;
-    }
-    const auto info = traceV2Info(path, err);
-    if (!info)
-        return std::nullopt;
-    doc.set("format", "pifetch-trace-v2");
-    doc.set("records", info->count);
-    doc.set("fileBytes", info->fileBytes);
-    doc.set("chunks", info->chunks.size());
-    doc.set("indexOffset", info->indexOffset);
-    if (info->count > 0) {
-        doc.set("bytesPerRecord",
-                static_cast<double>(info->fileBytes) /
-                    static_cast<double>(info->count));
-        const double v1_bytes =
-            16.0 + 24.0 * static_cast<double>(info->count);
-        doc.set("v1Ratio",
-                v1_bytes / static_cast<double>(info->fileBytes));
-    }
-    return doc;
-}
-
-int
-cmdTrace(int argc, char **argv)
-{
-    const auto fail = [](const std::string &msg) {
-        std::fprintf(stderr, "pifetch trace: %s\n", msg.c_str());
-        return 1;
-    };
-    if (argc < 3) {
-        std::fprintf(stderr,
-                     "pifetch trace: expected pack|unpack|info\n");
-        return 2;
-    }
-    const std::string verb = argv[2];
-    std::string err;
-
-    if (verb == "info") {
-        if (argc < 4) {
-            std::fprintf(stderr,
-                         "pifetch trace info: missing file\n");
-            return 2;
-        }
-        std::string json_path;
-        for (int i = 5; i < argc; i += 2) {
-            if (std::strcmp(argv[i - 1], "--json") == 0) {
-                json_path = argv[i];
-            } else {
-                std::fprintf(stderr,
-                             "pifetch trace info: unknown option "
-                             "'%s'\n", argv[i - 1]);
-                return 2;
-            }
-        }
-        const auto doc = traceInfoDoc(argv[3], &err);
-        if (!doc)
-            return fail(err);
-        if (json_path.empty() || json_path != "-") {
-            for (std::size_t i = 0; i < doc->size(); ++i) {
-                const auto &[key, value] = doc->member(i);
-                std::printf("%-14s %s\n", key.c_str(),
-                            toJson(value, 0).c_str());
-            }
-        }
-        if (!json_path.empty() &&
-            !writeOutput(json_path, toJson(*doc, 2) + "\n"))
-            return 1;
-        return 0;
-    }
-
-    if (verb != "pack" && verb != "unpack") {
-        std::fprintf(stderr,
-                     "pifetch trace: unknown verb '%s' (expected "
-                     "pack|unpack|info)\n", verb.c_str());
-        return 2;
-    }
-    if (argc != 5) {
-        std::fprintf(stderr,
-                     "pifetch trace %s: expected <in> <out>\n",
-                     verb.c_str());
-        return 2;
-    }
-    const std::string in = argv[3];
-    const std::string out = argv[4];
-    const auto format = probeTraceFile(in, &err);
-    if (!format)
-        return fail(err);
-
-    // Both directions stream chunk by chunk through RecordBatch
-    // columns, so repacking a multi-gigabyte corpus holds one chunk.
-    RecordBatch batch;
-    if (verb == "pack") {
-        TraceV2Writer writer;
-        if (!writer.open(out))
-            return fail(writer.error());
-        if (*format == TraceFileFormat::V1) {
-            TraceBatchReader reader;
-            if (!reader.open(in))
-                return fail(in + ": invalid v1 trace");
-            while (reader.next(batch, traceV2ChunkRecords))
-                writer.addBatch(batch);
-            if (reader.failed())
-                return fail(in + ": read error mid-stream");
-        } else {
-            TraceV2Reader reader;
-            if (!reader.open(in))
-                return fail(reader.error());
-            while (reader.next(batch))
-                writer.addBatch(batch);
-            if (reader.failed())
-                return fail(reader.error());
-        }
-        if (!writer.finish())
-            return fail(writer.error());
-        std::printf("packed %llu records to %s\n",
-                    static_cast<unsigned long long>(writer.count()),
-                    out.c_str());
-        return 0;
-    }
-
-    TraceWriter writer;
-    if (!writer.open(out))
-        return fail(writer.error());
-    if (*format == TraceFileFormat::V2) {
-        TraceV2Reader reader;
-        if (!reader.open(in))
-            return fail(reader.error());
-        while (reader.next(batch))
-            writer.addBatch(batch);
-        if (reader.failed())
-            return fail(reader.error());
-    } else {
-        TraceBatchReader reader;
-        if (!reader.open(in))
-            return fail(in + ": invalid v1 trace");
-        while (reader.next(batch, traceV2ChunkRecords))
-            writer.addBatch(batch);
-        if (reader.failed())
-            return fail(in + ": read error mid-stream");
-    }
-    if (!writer.finish())
-        return fail(writer.error());
-    std::printf("unpacked %llu records to %s\n",
-                static_cast<unsigned long long>(writer.count()),
-                out.c_str());
-    return 0;
 }
 
 int
@@ -1870,8 +1689,6 @@ main(int argc, char **argv)
         return cmdRun(argc, argv);
     if (cmd == "sweep")
         return cmdSweep(argc, argv);
-    if (cmd == "trace")
-        return cmdTrace(argc, argv);
     if (cmd == "golden")
         return cmdGolden(argc, argv);
     if (cmd == "perf")

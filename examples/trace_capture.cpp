@@ -2,14 +2,14 @@
  * @file
  * Trace capture and replay through the trace-file API.
  *
- * Captures a retire-order trace of a workload to disk, reads it back,
- * and drives PIF's recording pipeline directly from the file — the
- * workflow a user with real hardware traces would follow.
+ * Captures a retire-order trace of a workload to disk with
+ * TraceWriter, streams it back with TraceBatchReader, and drives PIF's
+ * recording pipeline directly from the file — the workflow a user with
+ * real hardware traces would follow.
  */
 
 #include <chrono>
 #include <cstdio>
-#include <vector>
 
 #include "pif/pif_prefetcher.hh"
 #include "sim/workloads.hh"
@@ -24,17 +24,16 @@ main()
     const Program prog = buildWorkloadProgram(w);
     Executor exec(prog, executorConfigFor(w));
 
-    // 1. Capture one million retired instructions.
-    std::vector<RetiredInstr> trace;
-    trace.reserve(1'000'000);
-    exec.run(1'000'000,
-             [&](const RetiredInstr &r) { trace.push_back(r); });
-
+    // 1. Capture one million retired instructions straight to disk.
     const std::string path = "/tmp/pifetch_apache.trace";
     // lint:allow(D-clock): demo prints wall-clock I/O timing, not results
     auto t0 = std::chrono::steady_clock::now();
-    if (!writeTrace(path, trace)) {
-        std::fprintf(stderr, "failed to write %s\n", path.c_str());
+    TraceWriter writer;
+    if (writer.open(path))
+        exec.run(1'000'000, [&](const RetiredInstr &r) { writer.add(r); });
+    if (!writer.finish()) {
+        std::fprintf(stderr, "failed to write %s: %s\n", path.c_str(),
+                     writer.error().c_str());
         return 1;
     }
     auto elapsed_ms = [&t0] {
@@ -42,34 +41,42 @@ main()
             // lint:allow(D-clock): demo prints wall-clock I/O timing
             std::chrono::steady_clock::now() - t0).count();
     };
-    std::printf("captured %zu instructions to %s in %.1f ms "
+    std::printf("captured %llu instructions to %s in %.1f ms "
                 "(chunked writer)\n",
-                trace.size(), path.c_str(), elapsed_ms());
+                static_cast<unsigned long long>(writer.count()),
+                path.c_str(), elapsed_ms());
 
-    // 2. Read it back and verify.
-    std::vector<RetiredInstr> replay;
-    // lint:allow(D-clock): demo prints wall-clock I/O timing, not results
-    t0 = std::chrono::steady_clock::now();
-    if (!readTrace(path, replay) || replay.size() != trace.size()) {
-        std::fprintf(stderr, "trace read-back failed\n");
-        return 1;
-    }
-    std::printf("read back %zu instructions in %.1f ms\n",
-                replay.size(), elapsed_ms());
-
-    // 3. Feed the trace straight into PIF's recording path and report
-    // the compaction it achieves (Section 3's storage argument).
+    // 2. Stream it back in record batches and feed PIF's recording
+    // path, reporting the compaction it achieves (Section 3's storage
+    // argument).
     PifConfig pc;
     PifPrefetcher pif(pc);
     std::uint64_t block_accesses = 0;
     Addr last_block = invalidAddr;
-    for (const RetiredInstr &r : replay) {
-        if (blockAddr(r.pc) != last_block) {
-            last_block = blockAddr(r.pc);
-            ++block_accesses;
-        }
-        pif.onRetire(r, true);
+    TraceBatchReader reader;
+    RecordBatch batch;
+    // lint:allow(D-clock): demo prints wall-clock I/O timing, not results
+    t0 = std::chrono::steady_clock::now();
+    if (!reader.open(path)) {
+        std::fprintf(stderr, "cannot reopen %s\n", path.c_str());
+        return 1;
     }
+    while (reader.next(batch)) {
+        for (std::uint32_t i = 0; i < batch.size; ++i) {
+            if (batch.block[i] != last_block) {
+                last_block = batch.block[i];
+                ++block_accesses;
+            }
+            pif.onRetire(batch.get(i), true);
+        }
+    }
+    if (reader.failed() || reader.decoded() != writer.count()) {
+        std::fprintf(stderr, "trace read-back failed\n");
+        return 1;
+    }
+    std::printf("read back and trained on %llu instructions in %.1f ms\n",
+                static_cast<unsigned long long>(reader.decoded()),
+                elapsed_ms());
 
     const std::uint64_t regions = pif.regionsRecorded();
     std::printf("\nblock-granularity accesses: %llu\n",

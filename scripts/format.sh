@@ -30,7 +30,7 @@ fi
 # Same scan set as `pifetch lint`: first-party sources only, no
 # third-party trees (tests/minitest is vendored).
 mapfile -t files < <(
-    find src bench examples tests \
+    find src examples tests \
         \( -path tests/minitest -o -path 'tests/minitest/*' \) -prune \
         -o -type f \( -name '*.cc' -o -name '*.cpp' \
                       -o -name '*.hh' -o -name '*.h' \) -print |

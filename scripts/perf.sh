@@ -17,8 +17,7 @@ cd "$(dirname "$0")/.."
 # build type onto the shared build/ tree would silently flip it for
 # every later check.sh/regold.sh run.
 cmake -B build-perf -S . -DCMAKE_BUILD_TYPE=Release \
-    -DPIFETCH_BUILD_EXAMPLES=ON -DPIFETCH_BUILD_TESTS=OFF \
-    -DPIFETCH_BUILD_BENCH=OFF
+    -DPIFETCH_BUILD_EXAMPLES=ON -DPIFETCH_BUILD_TESTS=OFF
 cmake --build build-perf -j --target pifetch_cli
 
 ./build-perf/pifetch perf --json BENCH_local.json "$@"

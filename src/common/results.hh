@@ -167,7 +167,7 @@ std::string toCsv(const ResultValue &v);
 
 /**
  * Render the experiment-document convention (meta / tables / notes)
- * as the human-readable report the bench binaries print.
+ * as the human-readable report `pifetch run` prints.
  */
 std::string renderText(const ResultValue &v);
 

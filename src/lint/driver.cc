@@ -295,8 +295,7 @@ discoverSources(const std::string &root,
                 const std::vector<std::string> &filters,
                 std::string *err)
 {
-    static const char *scanDirs[] = {"src", "bench", "examples",
-                                     "tests"};
+    static const char *scanDirs[] = {"src", "examples", "tests"};
     std::vector<std::string> out;
     std::error_code ec;
     for (const char *dir : scanDirs) {

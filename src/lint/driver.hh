@@ -37,7 +37,7 @@ struct LintOptions
     /**
      * Repo-relative path filters (prefix match after normalization,
      * so "src/pif" selects the directory). Empty -> the default
-     * scan set: src/, bench/, examples/, tests/ (minus third-party).
+     * scan set: src/, examples/, tests/ (minus third-party).
      */
     std::vector<std::string> paths;
     /** Restrict to these rule ids. Empty -> the full catalog. */

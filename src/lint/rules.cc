@@ -424,8 +424,7 @@ checkClock(const SourceFile &f, const LintContext &, const Rule &rule,
     if (startsWith(f.path, "src/perf/") ||
         startsWith(f.path, "tests/"))
         return;
-    if (!startsWith(f.path, "src/") && !startsWith(f.path, "bench/") &&
-        !startsWith(f.path, "examples/"))
+    if (!startsWith(f.path, "src/") && !startsWith(f.path, "examples/"))
         return;
     static const char *banned[] = {
         "system_clock",  "steady_clock", "high_resolution_clock",

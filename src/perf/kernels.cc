@@ -24,7 +24,6 @@
 #include "sim/trace_engine.hh"
 #include "sim/workloads.hh"
 #include "trace/trace_io.hh"
-#include "trace/trace_v2.hh"
 
 namespace pifetch {
 
@@ -52,32 +51,6 @@ generateStream(const PerfOptions &opts, std::uint64_t n)
     return records;
 }
 
-// ------------------------------------------------------ trace-decode
-
-KernelTiming
-runTraceDecode(const PerfOptions &opts)
-{
-    const std::uint64_t n = scaled(512 * 1024, opts.scale);
-    const std::vector<RetiredInstr> records = generateStream(opts, n);
-
-    const std::string path =
-        (std::filesystem::temp_directory_path() /
-         ("pifetch-perf-" + std::to_string(::getpid()) + ".trace"))
-            .string();
-    if (!writeTrace(path, records))
-        fatalError("perf: cannot write scratch trace " + path);
-    const std::uint64_t bytes = std::filesystem::file_size(path);
-
-    std::vector<RetiredInstr> decoded;
-    KernelTiming t = measureKernel(
-        "trace-decode", opts.protocol, n, bytes, [&] {
-            if (!readTrace(path, decoded) || decoded.size() != n)
-                fatalError("perf: trace decode failed mid-benchmark");
-        });
-    std::remove(path.c_str());
-    return t;
-}
-
 // -------------------------------------------------- trace-decode-soa
 
 KernelTiming
@@ -90,8 +63,12 @@ runTraceDecodeSoa(const PerfOptions &opts)
         (std::filesystem::temp_directory_path() /
          ("pifetch-perf-" + std::to_string(::getpid()) + "-soa.trace"))
             .string();
-    if (!writeTrace(path, records))
-        fatalError("perf: cannot write scratch trace " + path);
+    TraceWriter writer;
+    if (writer.open(path))
+        for (const RetiredInstr &r : records)
+            writer.add(r);
+    if (!writer.finish())
+        fatalError("perf: cannot write scratch trace: " + writer.error());
     const std::uint64_t bytes = std::filesystem::file_size(path);
 
     RecordBatch batch;
@@ -105,44 +82,6 @@ runTraceDecodeSoa(const PerfOptions &opts)
                 seen += batch.size;
             if (seen != n || reader.failed())
                 fatalError("perf: SoA trace decode failed mid-benchmark");
-        });
-    std::remove(path.c_str());
-    return t;
-}
-
-// --------------------------------------------------- trace-decode-v2
-
-KernelTiming
-runTraceDecodeV2(const PerfOptions &opts)
-{
-    const std::uint64_t n = scaled(512 * 1024, opts.scale);
-    const std::vector<RetiredInstr> records = generateStream(opts, n);
-
-    const std::string path =
-        (std::filesystem::temp_directory_path() /
-         ("pifetch-perf-" + std::to_string(::getpid()) + "-v2.trace"))
-            .string();
-    std::string err;
-    if (!writeTraceV2(path, records, &err))
-        fatalError("perf: cannot write scratch v2 trace: " + err);
-    const std::uint64_t bytes = std::filesystem::file_size(path);
-
-    // Ops are records and bytes are the *compressed* on-disk size, so
-    // the ops/sec column compares decode throughput against
-    // trace-decode-soa directly while bytes/sec shows the I/O saved.
-    RecordBatch batch;
-    KernelTiming t = measureKernel(
-        "trace-decode-v2", opts.protocol, n, bytes, [&] {
-            TraceV2Reader reader;
-            if (!reader.open(path))
-                fatalError("perf: cannot reopen scratch v2 trace " +
-                           path);
-            std::uint64_t seen = 0;
-            while (reader.next(batch))
-                seen += batch.size;
-            if (seen != n || reader.failed())
-                fatalError("perf: v2 trace decode failed "
-                           "mid-benchmark");
         });
     std::remove(path.c_str());
     return t;
@@ -314,15 +253,9 @@ const std::vector<PerfKernelSpec> &
 perfKernels()
 {
     static const std::vector<PerfKernelSpec> kernels = {
-        {"trace-decode",
-         "chunked binary trace read (records/sec, bytes/sec)",
-         runTraceDecode},
         {"trace-decode-soa",
          "streamed trace decode into SoA record batches",
          runTraceDecodeSoa},
-        {"trace-decode-v2",
-         "compressed v2 chunk decode into SoA record batches",
-         runTraceDecodeV2},
         {"trace-replay",
          "functional engine + PIF steady-state replay (instrs/sec)",
          runTraceReplay},

@@ -5,10 +5,8 @@
  *
  * Each kernel isolates one layer of the replay stack:
  *
- *   trace-decode        chunked binary trace read (trace/trace_io)
- *   trace-decode-soa    streamed v1 decode into SoA record batches
- *   trace-decode-v2     compressed v2 chunk decode into SoA batches
- *                       (trace/trace_v2; bytes = on-disk compressed)
+ *   trace-decode-soa    streamed trace decode into SoA record batches
+ *                       (trace/trace_io)
  *   trace-replay        full functional engine with PIF attached
  *                       (executor -> front-end -> L1-I -> prefetcher)
  *   pif-train           PIF train+predict driven directly with a

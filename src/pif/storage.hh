@@ -7,7 +7,7 @@
  * an equally-sized intermediate instruction cache. This model makes
  * the comparison concrete: it computes the bit cost of every PIF
  * structure (and of the TIFS equivalent) from the configuration, so
- * benches can report coverage *per kilobyte of predictor storage*.
+ * experiments can report coverage *per kilobyte of predictor storage*.
  */
 
 #pragma once

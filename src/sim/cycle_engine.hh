@@ -91,25 +91,6 @@ class CycleEngine
         observers_.configure(obs);
     }
 
-    /** Deprecated: use attachObservers() (digests-on wrapper). */
-    void
-    enableDigests()
-    {
-        ObserverConfig obs = observers_.config();
-        obs.digests = true;
-        observers_.configure(obs);
-    }
-
-    /** Deprecated: use attachObservers() (event-store wrapper). */
-    void
-    attachEvents(EventStore *store, unsigned core = 0)
-    {
-        ObserverConfig obs = observers_.config();
-        obs.events = store;
-        obs.core = core;
-        observers_.configure(obs);
-    }
-
     /** Retired-instruction stream digest (0 until digests enabled). */
     std::uint64_t retireDigest() const
     {

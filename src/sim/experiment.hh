@@ -2,9 +2,10 @@
  * @file
  * Per-figure experiment drivers.
  *
- * One function per table/figure of the paper's evaluation; the bench
- * binaries call these and print the rows. Tests call them with small
- * instruction budgets to check invariants cheaply.
+ * One function per table/figure of the paper's evaluation; the
+ * experiment registry (sim/registry.hh) calls these and tabulates the
+ * rows. Tests call them with small instruction budgets to check
+ * invariants cheaply.
  */
 
 #pragma once

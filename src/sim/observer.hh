@@ -2,16 +2,15 @@
  * @file
  * Unified engine observation layer.
  *
- * Both engines used to carry two ad-hoc opt-in hooks — enableDigests()
- * and attachEvents(EventStore*, core) — each with its own hot-loop
- * branch and its own per-engine recording code. EngineObservers folds
- * them into one configuration (ObserverConfig) behind one predictable
- * detached-branch per instruction: the batched replay loops test
- * active() once and hand the instruction plus its fetch-access span to
- * observeStep(), which folds the stream digests and appends the
- * event-store rows in a single place. Counter samples are built from
- * the engines' shared RunCounters snapshot, so the two engines'
- * samples stay comparable row for row by construction.
+ * EngineObservers gives both engines one opt-in observation
+ * configuration (ObserverConfig: stream digests and event-store
+ * recording) behind one predictable detached-branch per instruction:
+ * the batched replay loops test active() once and hand the instruction
+ * plus its fetch-access span to observeStep(), which folds the stream
+ * digests and appends the event-store rows in a single place. Counter
+ * samples are built from the engines' shared RunCounters snapshot, so
+ * the two engines' samples stay comparable row for row by
+ * construction.
  *
  * Detached (the default) the replay hot path pays the active() test
  * and nothing else; the perf gate locks that.
@@ -84,8 +83,6 @@ class EngineObservers
   public:
     /** Replace the configuration (digest state is preserved). */
     void configure(const ObserverConfig &cfg) { cfg_ = cfg; }
-
-    const ObserverConfig &config() const { return cfg_; }
 
     /** True when the hot loop must call observeStep(). */
     bool active() const { return cfg_.digests || cfg_.events != nullptr; }

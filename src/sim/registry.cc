@@ -2,8 +2,8 @@
  * @file
  * Experiment registry implementation.
  *
- * Each runner ports one bench binary's figure-reproduction loop into
- * a structured-result producer. Workload fan-out uses the worker pool
+ * Each runner turns one figure's reproduction loop into a
+ * structured-result producer. Workload fan-out uses the worker pool
  * (common/parallel.hh) with results landing in fixed slots, so every
  * document is bit-identical at any thread count.
  */

@@ -5,10 +5,10 @@
  *
  * Each ExperimentSpec couples a name, a description, a default
  * workload set and instruction budget, and a runner that produces a
- * structured ResultValue document (see common/results.hh). The bench
- * binaries, the `pifetch` CLI and the golden-snapshot regression
- * suite all go through this table, so a new scenario is a registry
- * entry instead of a new binary.
+ * structured ResultValue document (see common/results.hh). The
+ * `pifetch` CLI and the golden-snapshot regression suite both go
+ * through this table, so a new scenario is a registry entry instead
+ * of a new binary.
  *
  * Result document convention:
  * {

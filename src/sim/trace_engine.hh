@@ -114,31 +114,6 @@ class TraceEngine
         observers_.configure(obs);
     }
 
-    /**
-     * Deprecated: use attachObservers(). Thin wrapper that switches
-     * digests on while preserving the rest of the configuration.
-     */
-    void
-    enableDigests()
-    {
-        ObserverConfig obs = observers_.config();
-        obs.digests = true;
-        observers_.configure(obs);
-    }
-
-    /**
-     * Deprecated: use attachObservers(). Thin wrapper that attaches
-     * @p store / @p core while preserving the digest setting.
-     */
-    void
-    attachEvents(EventStore *store, unsigned core = 0)
-    {
-        ObserverConfig obs = observers_.config();
-        obs.events = store;
-        obs.core = core;
-        observers_.configure(obs);
-    }
-
     /** Retired-instruction stream digest (0 until digests enabled). */
     std::uint64_t retireDigest() const
     {

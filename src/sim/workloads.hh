@@ -1,6 +1,7 @@
 /**
  * @file
- * Workload construction helpers shared by engines, tests and benches.
+ * Workload construction helpers shared by engines, experiments and
+ * tests.
  *
  * WorkloadRef is the uniform workload handle of the experiment layer:
  * either a server preset (ServerWorkload) or a lowered declarative

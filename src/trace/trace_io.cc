@@ -4,8 +4,7 @@
  *
  * Both directions stream through a fixed-size chunk buffer: one
  * fwrite/fread per chunk instead of one syscall-sized call per
- * 24-byte record, which is what makes multi-million-instruction
- * captures load fast enough to feed the parallel multicore runner.
+ * 24-byte record.
  */
 
 #include "trace/trace_io.hh"
@@ -14,7 +13,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <memory>
 
 namespace pifetch {
 
@@ -43,12 +41,9 @@ struct Header
 /** Records buffered per fwrite/fread call (32K records = 768 KiB). */
 constexpr std::size_t chunkRecords = 32 * 1024;
 
-struct FileCloser
-{
-    void operator()(std::FILE *f) const { if (f) std::fclose(f); }
-};
-
-using FilePtr = std::unique_ptr<std::FILE, FileCloser>;
+/** Largest valid on-disk kind byte (InstrKind's last enumerator). */
+constexpr std::uint8_t maxDiskKind =
+    static_cast<std::uint8_t>(InstrKind::TrapReturn);
 
 /**
  * Bytes past the header in @p f, or -1 if unknowable (not a regular
@@ -68,114 +63,6 @@ payloadBytes(std::FILE *f)
 }
 
 } // namespace
-
-bool
-writeTrace(const std::string &path, const std::vector<RetiredInstr> &records)
-{
-    FilePtr f(std::fopen(path.c_str(), "wb"));
-    if (!f)
-        return false;
-
-    Header h{traceMagic, traceVersion, records.size()};
-    if (std::fwrite(&h, sizeof(h), 1, f.get()) != 1)
-        return false;
-
-    std::vector<DiskRecord> chunk(
-        std::min(chunkRecords, std::max<std::size_t>(records.size(), 1)));
-    std::size_t pos = 0;
-    while (pos < records.size()) {
-        const std::size_t n =
-            std::min(chunkRecords, records.size() - pos);
-        for (std::size_t i = 0; i < n; ++i) {
-            const RetiredInstr &r = records[pos + i];
-            DiskRecord d{};
-            d.pc = r.pc;
-            d.target = r.target;
-            d.kind = static_cast<std::uint8_t>(r.kind);
-            d.trapLevel = r.trapLevel;
-            d.taken = r.taken ? 1 : 0;
-            chunk[i] = d;
-        }
-        if (std::fwrite(chunk.data(), sizeof(DiskRecord), n, f.get())
-            != n) {
-            return false;
-        }
-        pos += n;
-    }
-
-    // An ENOSPC surfacing only when buffered data hits the disk must
-    // not be reported as success: flush explicitly, then close the
-    // handle ourselves (FileCloser would discard fclose's result).
-    if (std::fflush(f.get()) != 0)
-        return false;
-    return std::fclose(f.release()) == 0;
-}
-
-bool
-readTrace(const std::string &path, std::vector<RetiredInstr> &records)
-{
-    records.clear();
-
-    FilePtr f(std::fopen(path.c_str(), "rb"));
-    if (!f)
-        return false;
-
-    Header h{};
-    if (std::fread(&h, sizeof(h), 1, f.get()) != 1)
-        return false;
-    if (h.magic != traceMagic || h.version != traceVersion)
-        return false;
-
-    // The header's count is untrusted input: a corrupt or truncated
-    // file could otherwise demand a multi-GB reserve() before the
-    // first record read fails. When the payload size is knowable it
-    // must hold everything the header promises; when it is not (the
-    // stream is not a regular file), skip the reserve and let the
-    // vector grow with the records that actually arrive.
-    const long long payload = payloadBytes(f.get());
-    const bool sized = payload >= 0;
-    if (sized) {
-        if (h.count > static_cast<unsigned long long>(payload) /
-                          sizeof(DiskRecord)) {
-            return false;
-        }
-        // The count is validated against real bytes on disk, so the
-        // whole destination can be sized up front and each chunk
-        // converted straight into its final slots — no push_back
-        // capacity checks on the 32K-record decode path.
-        records.resize(h.count);
-    }
-    std::vector<DiskRecord> chunk(
-        std::min<std::uint64_t>(chunkRecords,
-                                std::max<std::uint64_t>(h.count, 1)));
-    std::uint64_t pos = 0;
-    std::uint64_t remaining = h.count;
-    while (remaining > 0) {
-        const std::size_t n = static_cast<std::size_t>(
-            std::min<std::uint64_t>(chunkRecords, remaining));
-        if (std::fread(chunk.data(), sizeof(DiskRecord), n, f.get())
-            != n) {
-            records.clear();
-            return false;
-        }
-        for (std::size_t i = 0; i < n; ++i) {
-            const DiskRecord &d = chunk[i];
-            RetiredInstr r;
-            r.pc = d.pc;
-            r.target = d.target;
-            r.kind = static_cast<InstrKind>(d.kind);
-            r.trapLevel = d.trapLevel;
-            r.taken = d.taken != 0;
-            if (sized)
-                records[pos + i] = r;
-            else
-                records.push_back(r);
-        }
-        pos += n;
-        remaining -= n;
-    }
-    return true;
-}
 
 TraceWriter::~TraceWriter()
 {
@@ -231,14 +118,6 @@ TraceWriter::add(const RetiredInstr &r)
     ++count_;
     if (pending_.size() >= chunkRecords)
         flushChunk();
-}
-
-bool
-TraceWriter::addBatch(const RecordBatch &batch)
-{
-    for (std::uint32_t i = 0; i < batch.size && !failed_; ++i)
-        add(batch.get(i));
-    return !failed_;
 }
 
 void
@@ -325,8 +204,10 @@ TraceBatchReader::open(const std::string &path)
         return false;
     }
 
-    // Same untrusted-count validation as readTrace(): when the payload
-    // size is knowable it must hold everything the header promises.
+    // The header's count is untrusted input: when the payload size is
+    // knowable it must hold everything the header promises, so a
+    // corrupt count fails here rather than after a huge allocation or
+    // a long stream of reads.
     const long long payload = payloadBytes(f);
     if (payload >= 0 &&
         h.count > static_cast<unsigned long long>(payload) /
@@ -396,8 +277,19 @@ TraceBatchReader::next(RecordBatch &out, std::uint32_t max)
             out.pc[b + i] = recs[chunkPos_ + i].pc;
         for (std::uint32_t i = 0; i < take; ++i)
             out.target[b + i] = recs[chunkPos_ + i].target;
-        for (std::uint32_t i = 0; i < take; ++i)
-            out.kind[b + i] = recs[chunkPos_ + i].kind;
+        // A kind byte past InstrKind's range would replay as a control
+        // instruction whose nextPc() falls through: reject the stream.
+        std::uint8_t kindMax = 0;
+        for (std::uint32_t i = 0; i < take; ++i) {
+            const std::uint8_t k = recs[chunkPos_ + i].kind;
+            out.kind[b + i] = k;
+            kindMax = std::max(kindMax, k);
+        }
+        if (kindMax > maxDiskKind) {
+            failed_ = true;
+            out.clear();
+            return false;
+        }
         for (std::uint32_t i = 0; i < take; ++i)
             out.trapLevel[b + i] = recs[chunkPos_ + i].trapLevel;
         for (std::uint32_t i = 0; i < take; ++i)

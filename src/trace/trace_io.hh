@@ -5,7 +5,10 @@
  * Lets users capture a retire-order stream once and replay it through
  * predictors and prefetchers (the paper's trace-based methodology,
  * Section 5). The format is a fixed little-endian header followed by
- * packed records; versioned so future extensions stay readable.
+ * packed records (docs/trace_format.md); versioned so future
+ * extensions stay readable. Both directions stream one disk chunk at
+ * a time: TraceWriter appends records, TraceBatchReader decodes them
+ * into RecordBatch columns.
  */
 
 #pragma once
@@ -25,42 +28,14 @@ constexpr std::uint32_t traceMagic = 0x54464950;
 constexpr std::uint32_t traceVersion = 1;
 
 /**
- * Write @p records to @p path.
+ * Streaming trace writer, the counterpart of TraceBatchReader.
  *
- * Streams through a chunk buffer (one fwrite per ~32K records) and
- * flushes + closes explicitly, so a write error that only surfaces at
- * flush/close time (e.g. ENOSPC) is reported as failure, never as
- * silent data loss.
- *
- * @return true on success; false on any I/O failure.
- */
-bool writeTrace(const std::string &path,
-                const std::vector<RetiredInstr> &records);
-
-/**
- * Read a trace file written by writeTrace().
- *
- * The header's record count is validated against the actual file size
- * before any allocation, so a corrupt or truncated header fails fast
- * instead of triggering a multi-GB reserve. Reads stream through the
- * same chunking as writeTrace().
- *
- * @param[out] records Replaced with the file contents on success;
- *             left empty on failure.
- * @return true on success; false on I/O error, bad magic, version
- *         mismatch, or a count that exceeds the file's payload.
- */
-bool readTrace(const std::string &path,
-               std::vector<RetiredInstr> &records);
-
-/**
- * Streaming v1 writer: the counterpart of TraceBatchReader for code
- * that produces records incrementally (e.g. `pifetch trace unpack`
- * converting a v2 corpus back to v1 chunk by chunk). Buffers one disk
- * chunk of records, writes the header with a placeholder count, and
- * finish() seeks back to finalize it — so a multi-gigabyte conversion
- * never holds more than one chunk in memory. Mirrors writeTrace()'s
- * flush-and-close error discipline.
+ * Buffers one disk chunk of records (one fwrite per ~32K records),
+ * writes the header with a placeholder count, and finish() seeks back
+ * to finalize it, so a multi-gigabyte capture never holds more than
+ * one chunk in memory. finish() flushes and closes explicitly: a write
+ * error that only surfaces at flush/close time (e.g. ENOSPC) is
+ * reported as failure, never as silent data loss.
  */
 class TraceWriter
 {
@@ -76,9 +51,6 @@ class TraceWriter
 
     /** Append one record (buffered at disk-chunk granularity). */
     void add(const RetiredInstr &r);
-
-    /** Append a decoded batch. @return false once failed() is set. */
-    bool addBatch(const RecordBatch &batch);
 
     /** Flush the final chunk, rewrite the header with the real count,
      *  flush and close. @return false on any I/O failure. */
@@ -105,14 +77,12 @@ class TraceWriter
 /**
  * Streaming batch decoder for trace files.
  *
- * Where readTrace() materializes the whole file as one AoS vector,
- * this reader hands out the stream one structure-of-arrays RecordBatch
- * at a time: each 32K-record disk chunk is read with a single fread
- * and its fields are scattered into the batch's parallel PC / target /
- * kind columns (block addresses precomputed), ready to feed
+ * Hands out the stream one structure-of-arrays RecordBatch at a time:
+ * each 32K-record disk chunk is read with a single fread and its
+ * fields are scattered into the batch's parallel PC / target / kind
+ * columns (block addresses precomputed), ready to feed
  * TraceEngine::replayBatch() without touching AoS form or holding more
- * than one chunk in memory. Decodes the exact record sequence
- * readTrace() produces; the trace-io test suite locks the equivalence.
+ * than one chunk in memory.
  */
 class TraceBatchReader
 {
@@ -124,9 +94,10 @@ class TraceBatchReader
     TraceBatchReader &operator=(const TraceBatchReader &) = delete;
 
     /**
-     * Open @p path and validate its header (magic, version, and the
-     * record count against the file's actual payload size, exactly as
-     * readTrace() does). @return true if the stream is ready.
+     * Open @p path and validate its header: magic, version, and the
+     * record count against the file's actual payload size, so a
+     * corrupt count fails here instead of mid-stream.
+     * @return true if the stream is ready.
      */
     bool open(const std::string &path);
 
@@ -138,12 +109,15 @@ class TraceBatchReader
 
     /**
      * Decode up to @p max records into @p out (columns filled, block
-     * addresses computed). @return true if @p out holds at least one
-     * record; false at end of stream or on error (check failed()).
+     * addresses computed). A record whose kind is not an InstrKind
+     * fails the stream. @return true if @p out holds at least one
+     * record; false at end of stream or on error (check failed(); @p
+     * out is then empty).
      */
     bool next(RecordBatch &out, std::uint32_t max = recordBatchLen);
 
-    /** True once an I/O error or short read has been observed. */
+    /** True once an I/O error, short read or invalid record has been
+     *  observed. */
     bool failed() const { return failed_; }
 
     /** Release the underlying file (idempotent). */

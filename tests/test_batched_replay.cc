@@ -9,9 +9,8 @@
  * six server presets and two workload-zoo specs by comparing each
  * engine at the default batch length against the scalar-order (length
  * 1) reference, checks the multicore runners against hand-built
- * scalar per-core engines at 1 and 4 pool threads, locks the
- * streaming SoA trace decoder against readTrace(), and verifies the
- * deprecated observation wrappers compose to the unified API.
+ * scalar per-core engines at 1 and 4 pool threads, and locks the
+ * streaming SoA trace decoder against the records TraceWriter wrote.
  */
 
 #include <gtest/gtest.h>
@@ -27,6 +26,7 @@
 #include "sim/multicore.hh"
 #include "sim/trace_engine.hh"
 #include "sim/workloads.hh"
+#include "test_util.hh"
 #include "trace/trace_io.hh"
 #include "trace/workload_spec.hh"
 
@@ -232,39 +232,6 @@ TEST(MulticoreBatched, MatchesScalarReferenceAtThreads1And4)
     }
 }
 
-TEST(ObserverCompat, DeprecatedWrappersComposeToUnifiedConfig)
-{
-    const ServerWorkload w = ServerWorkload::WebApache;
-    const Program prog = buildWorkloadProgram(w);
-    const SystemConfig cfg{};
-
-    EventStore unified_events(fullRecordingOptions());
-    TraceEngine unified(cfg, prog, executorConfigFor(w),
-                        makePrefetcher(PrefetcherKind::Pif, cfg));
-    ObserverConfig obs;
-    obs.digests = true;
-    obs.events = &unified_events;
-    unified.attachObservers(obs);
-    const TraceRunResult a = unified.run(kWarmup, kMeasure);
-
-    // The legacy calls must stack: enabling digests then attaching a
-    // store (in either order) ends in the same observer configuration.
-    EventStore legacy_events(fullRecordingOptions());
-    TraceEngine legacy(cfg, prog, executorConfigFor(w),
-                       makePrefetcher(PrefetcherKind::Pif, cfg));
-    legacy.enableDigests();
-    legacy.attachEvents(&legacy_events);
-    const TraceRunResult b = legacy.run(kWarmup, kMeasure);
-
-    std::vector<CheckFailure> failures;
-    checkTraceIdentical(a, b, "observer-wrapper-compat", failures);
-    for (const CheckFailure &f : failures)
-        ADD_FAILURE() << f.invariant << ": " << f.detail;
-    EXPECT_NE(b.retireDigest, 0u);
-    expectStoresIdentical(unified_events, legacy_events,
-                          "wrapper-compat");
-}
-
 TEST(UnobservedBatched, BulkFastPathMatchesObservedScalarCounters)
 {
     // The bulk no-op-run fast path (and the lean decode it enables)
@@ -340,14 +307,10 @@ class BatchReaderTest : public ::testing::Test
     std::string path_;
 };
 
-TEST_F(BatchReaderTest, DecodesExactlyWhatReadTraceReturns)
+TEST_F(BatchReaderTest, DecodesExactlyWhatWasWritten)
 {
     const std::vector<RetiredInstr> original = sampleTrace(100'000);
-    ASSERT_TRUE(writeTrace(path_, original));
-
-    std::vector<RetiredInstr> aos;
-    ASSERT_TRUE(readTrace(path_, aos));
-    ASSERT_EQ(aos.size(), original.size());
+    ASSERT_TRUE(testutil::writeRecords(path_, original));
 
     TraceBatchReader reader;
     ASSERT_TRUE(reader.open(path_));
@@ -357,9 +320,9 @@ TEST_F(BatchReaderTest, DecodesExactlyWhatReadTraceReturns)
     std::size_t seen = 0;
     while (reader.next(batch)) {
         for (std::uint32_t i = 0; i < batch.size; ++i, ++seen) {
-            ASSERT_LT(seen, aos.size());
+            ASSERT_LT(seen, original.size());
             const RetiredInstr got = batch.get(i);
-            const RetiredInstr &want = aos[seen];
+            const RetiredInstr &want = original[seen];
             ASSERT_EQ(got.pc, want.pc) << "record " << seen;
             ASSERT_EQ(got.target, want.target) << "record " << seen;
             ASSERT_EQ(got.kind, want.kind) << "record " << seen;
@@ -371,13 +334,13 @@ TEST_F(BatchReaderTest, DecodesExactlyWhatReadTraceReturns)
         }
     }
     EXPECT_FALSE(reader.failed());
-    EXPECT_EQ(seen, aos.size());
-    EXPECT_EQ(reader.decoded(), aos.size());
+    EXPECT_EQ(seen, original.size());
+    EXPECT_EQ(reader.decoded(), original.size());
 }
 
 TEST_F(BatchReaderTest, HonorsSmallBatchCaps)
 {
-    ASSERT_TRUE(writeTrace(path_, sampleTrace(1'000)));
+    ASSERT_TRUE(testutil::writeRecords(path_, sampleTrace(1'000)));
     TraceBatchReader reader;
     ASSERT_TRUE(reader.open(path_));
     RecordBatch batch;
@@ -392,7 +355,7 @@ TEST_F(BatchReaderTest, HonorsSmallBatchCaps)
 
 TEST_F(BatchReaderTest, RejectsBadMagic)
 {
-    ASSERT_TRUE(writeTrace(path_, sampleTrace(64)));
+    ASSERT_TRUE(testutil::writeRecords(path_, sampleTrace(64)));
     std::FILE *f = std::fopen(path_.c_str(), "rb+");
     ASSERT_NE(f, nullptr);
     const std::uint32_t junk = 0xdeadbeef;
@@ -405,7 +368,7 @@ TEST_F(BatchReaderTest, RejectsBadMagic)
 
 TEST_F(BatchReaderTest, RejectsTruncatedPayload)
 {
-    ASSERT_TRUE(writeTrace(path_, sampleTrace(64)));
+    ASSERT_TRUE(testutil::writeRecords(path_, sampleTrace(64)));
     std::FILE *f = std::fopen(path_.c_str(), "rb");
     ASSERT_NE(f, nullptr);
     ASSERT_EQ(std::fseek(f, 0, SEEK_END), 0);
@@ -413,8 +376,8 @@ TEST_F(BatchReaderTest, RejectsTruncatedPayload)
     ASSERT_EQ(std::fclose(f), 0);
     ASSERT_EQ(0, truncate(path_.c_str(), size - 10));
 
-    // The count-vs-payload validation fires at open, exactly like
-    // readTrace() on the same file.
+    // The count-vs-payload validation fires at open, before any
+    // record is decoded.
     TraceBatchReader reader;
     EXPECT_FALSE(reader.open(path_));
 }
@@ -430,7 +393,7 @@ TEST_F(BatchReaderTest, ReplayBatchFeedsTheBatchedPipeline)
     // End-to-end: decode a captured trace with the SoA reader and push
     // it through TraceEngine::replayBatch; the cache must observe the
     // stream (nonzero accesses) deterministically across two replays.
-    ASSERT_TRUE(writeTrace(path_, sampleTrace(50'000)));
+    ASSERT_TRUE(testutil::writeRecords(path_, sampleTrace(50'000)));
 
     const auto replay = [&]() {
         const SystemConfig cfg{};

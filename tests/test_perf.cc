@@ -119,7 +119,7 @@ TEST(PerfSuite, BenchJsonRoundTripsWithExpectedKeys)
     PerfOptions opts = tinyOptions();
     // Two cheap kernels keep this fast while still exercising the
     // selection path.
-    opts.kernels = {"cache-lookup", "trace-decode"};
+    opts.kernels = {"cache-lookup", "trace-decode-soa"};
     const ResultValue doc = runPerfSuite(opts);
 
     // The CLI writes exactly toJson(doc); the gate parses it back.
@@ -140,7 +140,7 @@ TEST(PerfSuite, BenchJsonRoundTripsWithExpectedKeys)
     ASSERT_NE(kernels, nullptr);
     ASSERT_EQ(kernels->size(), 2u);
     EXPECT_EQ(kernels->at(0).find("name")->str(), "cache-lookup");
-    EXPECT_EQ(kernels->at(1).find("name")->str(), "trace-decode");
+    EXPECT_EQ(kernels->at(1).find("name")->str(), "trace-decode-soa");
     for (std::size_t i = 0; i < kernels->size(); ++i) {
         const ResultValue &k = kernels->at(i);
         for (const char *key : {"name", "ops", "reps", "warmup_reps",

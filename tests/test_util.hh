@@ -1,11 +1,15 @@
 /**
  * @file
- * Shared helpers for handcrafted test programs.
+ * Shared helpers for handcrafted test programs and trace files.
  */
 
 #pragma once
 
+#include <string>
+#include <vector>
+
 #include "trace/program.hh"
+#include "trace/trace_io.hh"
 
 namespace pifetch {
 namespace testutil {
@@ -84,6 +88,18 @@ tinyProgram(double cond_taken_prob = 0.0)
 
     layoutAll(prog);
     return prog;
+}
+
+/** Write @p records to @p path through TraceWriter; finish()'s verdict. */
+inline bool
+writeRecords(const std::string &path,
+             const std::vector<RetiredInstr> &records)
+{
+    TraceWriter writer;
+    if (writer.open(path))
+        for (const RetiredInstr &r : records)
+            writer.add(r);
+    return writer.finish();
 }
 
 } // namespace testutil
