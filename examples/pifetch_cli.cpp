@@ -13,9 +13,6 @@
  *       pool; one experiment run per grid point.
  *   pifetch golden [--list | <experiment>]
  *       Canonical golden-fixture JSON (see scripts/regold.sh).
- *   pifetch perf [--list | options]
- *       Time the simulator's hot kernels (docs/performance.md) and
- *       emit a BENCH_*.json document for scripts/perf_compare.py.
  *   pifetch check [options]
  *       Fuzz randomized scenarios through the differential and
  *       metamorphic oracle battery (docs/validation.md); failing
@@ -66,7 +63,6 @@
 #include "check/checker.hh"
 #include "common/parallel.hh"
 #include "lint/driver.hh"
-#include "perf/kernels.hh"
 #include "query/event_store.hh"
 #include "query/query.hh"
 #include "sim/cycle_engine.hh"
@@ -90,7 +86,6 @@ usage(std::FILE *out)
         "  sweep <experiment> --param key=v1,v2,...\n"
         "                            run a parameter grid\n"
         "  golden [--list|<exp>]     emit canonical golden JSON\n"
-        "  perf [--list|options]     time the hot kernels\n"
         "  check [options]           fuzz + differential validation\n"
         "  query [options]           event-store recording + queries\n"
         "  lint [paths...] [options] project static-analysis rules\n"
@@ -123,16 +118,6 @@ usage(std::FILE *out)
         "                 manifest (used by the scheduler)\n"
         "  --merge        assemble merged.json from completed shards\n"
         "                 without running anything\n"
-        "\n"
-        "perf options:\n"
-        "  --list         enumerate the kernels and exit\n"
-        "  --kernel K     run only kernel K (repeatable)\n"
-        "  --reps N       timed repetitions per kernel (default 5)\n"
-        "  --warmup-reps N untimed repetitions first (default 1)\n"
-        "  --scale X      op-count multiplier, X > 0 (default 1.0)\n"
-        "  --workload W   driving workload (default db2)\n"
-        "  --seed N       stream-generation seed\n"
-        "  --json/--csv/--quiet as above\n"
         "\n"
         "check options:\n"
         "  --seeds N      scenarios to fuzz (default 25)\n"
@@ -336,10 +321,8 @@ parseOptions(int argc, char **argv, int from, bool allow_param,
             opts.csvPath = v;
         } else if (arg == "--threads") {
             const char *v = next();
-            std::uint64_t n = 0;
-            if (!v || !parseU64Arg(v, n))
+            if (!v || !applyConfigOverride(opts.run.cfg, "threads", v))
                 return badValue(v);
-            opts.run.cfg.threads = static_cast<unsigned>(n);
         } else if (arg == "--warmup") {
             const char *v = next();
             std::uint64_t n = 0;
@@ -516,6 +499,10 @@ cmdRun(int argc, char **argv)
                      spec->name.c_str());
         return 2;
     }
+    if (const auto err = validateSystemConfig(opts.run.cfg)) {
+        std::fprintf(stderr, "pifetch: %s\n", err->c_str());
+        return 2;
+    }
     const ResultValue doc = runExperiment(*spec, opts.run);
     return emitOutputs(opts, doc) ? 0 : 1;
 }
@@ -607,7 +594,8 @@ cmdSweep(int argc, char **argv)
         } else if (arg == "--shards" || arg == "--shard") {
             const char *v = next();
             std::uint64_t n = 0;
-            if (!v || !parseU64Arg(v, n)) {
+            // The manifest's cap; wider values would also truncate.
+            if (!v || !parseU64Arg(v, n) || n > (1u << 20)) {
                 std::fprintf(stderr,
                              "pifetch sweep: bad value '%s' for %s\n",
                              v ? v : "<missing>", arg.c_str());
@@ -749,29 +737,6 @@ cmdSweep(int argc, char **argv)
         return 2;
     }
 
-    // Validate every grid value against a scratch config up front so
-    // a typo fails before hours of simulation.
-    for (const auto &[key, values] : opts.grid) {
-        if (key == "threads") {
-            // Results are thread-invariant and each grid point is
-            // pinned serial — a threads axis would only oversubscribe.
-            std::fprintf(stderr,
-                         "pifetch sweep: 'threads' is not sweepable "
-                         "(results are thread-invariant); use "
-                         "--threads for the fan-out width\n");
-            return 2;
-        }
-        for (const std::string &v : values) {
-            SystemConfig scratch = opts.run.cfg;
-            if (!applyConfigOverride(scratch, key, v)) {
-                std::fprintf(stderr,
-                             "pifetch sweep: bad --param %s=%s\n",
-                             key.c_str(), v.c_str());
-                return 2;
-            }
-        }
-    }
-
     // The manifest pins the whole sweep; in-process and sharded runs
     // both execute through it (runSweepPoint / assembleSweepDoc), so
     // their documents agree byte for byte.
@@ -786,6 +751,12 @@ cmdSweep(int argc, char **argv)
     manifest.overrides = svc.overrides;
     manifest.warmup = svc.warmup;
     manifest.measure = svc.measure;
+    // Every point is checked up front, as a shard worker checks the
+    // manifest it loads, so a typo fails before hours of simulation.
+    if (const auto err = validateSweepGrid(manifest, opts.run.cfg)) {
+        std::fprintf(stderr, "pifetch sweep: %s\n", err->c_str());
+        return 2;
+    }
 
     std::string err;
     const std::uint64_t points = sweepPointCount(manifest);
@@ -880,121 +851,6 @@ cmdGolden(int argc, char **argv)
                  "pifetch golden: '%s' is not in the golden suite "
                  "(see --list)\n", argv[2]);
     return 2;
-}
-
-int
-cmdPerf(int argc, char **argv)
-{
-    if (argc >= 3 && std::strcmp(argv[2], "--list") == 0) {
-        std::printf("%-20s %s\n", "kernel", "description");
-        for (const PerfKernelSpec &k : perfKernels())
-            std::printf("%-20s %s\n", k.name.c_str(),
-                        k.description.c_str());
-        return 0;
-    }
-
-    PerfOptions opts;
-    CliOptions out;  // only jsonPath/csvPath/quiet are used
-    for (int i = 2; i < argc; ++i) {
-        const std::string arg = argv[i];
-        const auto next = [&]() -> const char * {
-            if (i + 1 >= argc) {
-                std::fprintf(stderr, "pifetch perf: %s needs a value\n",
-                             arg.c_str());
-                return nullptr;
-            }
-            return argv[++i];
-        };
-        const auto badValue = [&](const char *v) {
-            std::fprintf(stderr, "pifetch perf: bad value '%s' for %s\n",
-                         v ? v : "<missing>", arg.c_str());
-            return 2;
-        };
-
-        if (arg == "--kernel") {
-            const char *v = next();
-            if (!v)
-                return 2;
-            if (!findPerfKernel(v)) {
-                std::fprintf(stderr,
-                             "pifetch perf: unknown kernel '%s' "
-                             "(try `pifetch perf --list`)\n", v);
-                return 2;
-            }
-            opts.kernels.push_back(v);
-        } else if (arg == "--reps" || arg == "--warmup-reps" ||
-                   arg == "--seed") {
-            const char *v = next();
-            std::uint64_t n = 0;
-            if (!v || !parseU64Arg(v, n))
-                return badValue(v);
-            if (arg == "--reps") {
-                if (n == 0 || n > 1000) {
-                    std::fprintf(stderr,
-                                 "pifetch perf: --reps must be in "
-                                 "1..1000\n");
-                    return 2;
-                }
-                opts.protocol.reps = static_cast<unsigned>(n);
-            } else if (arg == "--warmup-reps") {
-                if (n > 1000) {
-                    std::fprintf(stderr,
-                                 "pifetch perf: --warmup-reps must "
-                                 "be <= 1000\n");
-                    return 2;
-                }
-                opts.protocol.warmupReps = static_cast<unsigned>(n);
-            } else {
-                opts.seed = n;
-            }
-        } else if (arg == "--scale") {
-            const char *v = next();
-            if (!v)
-                return 2;
-            char *end = nullptr;
-            const double s = std::strtod(v, &end);
-            // Finite and bounded: "inf"/1e300 would overflow the op
-            // counts (UB on the uint64 cast downstream).
-            if (!end || *end != '\0' || !(s > 0.0) || !(s <= 1e6))
-                return badValue(v);
-            opts.scale = s;
-        } else if (arg == "--workload") {
-            const char *v = next();
-            if (!v)
-                return 2;
-            const std::optional<ServerWorkload> w = workloadFromName(v);
-            if (!w) {
-                std::fprintf(stderr,
-                             "pifetch perf: unknown workload '%s'\n", v);
-                return 2;
-            }
-            opts.workload = *w;
-        } else if (arg == "--json") {
-            const char *v = next();
-            if (!v)
-                return 2;
-            out.jsonPath = v;
-        } else if (arg == "--csv") {
-            const char *v = next();
-            if (!v)
-                return 2;
-            out.csvPath = v;
-        } else if (arg == "--quiet") {
-            out.quiet = true;
-        } else {
-            std::fprintf(stderr, "pifetch perf: unknown option '%s'\n",
-                         arg.c_str());
-            return 2;
-        }
-    }
-    if (out.jsonPath == "-" && out.csvPath == "-") {
-        std::fprintf(stderr,
-                     "pifetch: --json - and --csv - would interleave "
-                     "on stdout; write at least one to a file\n");
-        return 2;
-    }
-
-    return emitOutputs(out, runPerfSuite(opts)) ? 0 : 1;
 }
 
 /** Print one failing scenario of a check report. */
@@ -1446,6 +1302,10 @@ cmdQuery(int argc, char **argv)
                      "--workload-file or --load\n");
         return 2;
     }
+    if (const auto err = validateSystemConfig(cfg)) {
+        std::fprintf(stderr, "pifetch query: %s\n", err->c_str());
+        return 2;
+    }
     if (!loadPath.empty() && !recordOnlyOption.empty()) {
         // A dump is immutable data: accepting-and-ignoring run knobs
         // would report results for a run that never happened.
@@ -1675,10 +1535,8 @@ cmdLint(int argc, char **argv)
     return report.clean() ? 0 : 1;
 }
 
-} // namespace
-
 int
-main(int argc, char **argv)
+dispatch(int argc, char **argv)
 {
     if (argc < 2)
         return usage(stderr);
@@ -1691,8 +1549,6 @@ main(int argc, char **argv)
         return cmdSweep(argc, argv);
     if (cmd == "golden")
         return cmdGolden(argc, argv);
-    if (cmd == "perf")
-        return cmdPerf(argc, argv);
     if (cmd == "check")
         return cmdCheck(argc, argv);
     if (cmd == "query")
@@ -1704,4 +1560,20 @@ main(int argc, char **argv)
     std::fprintf(stderr, "pifetch: unknown command '%s'\n",
                  cmd.c_str());
     return usage(stderr);
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    int rc = dispatch(argc, argv);
+    // A failed write to stdout (`--json -` into a full disk) fails the
+    // run like a file's, unless the command already failed on its own.
+    if (std::fflush(stdout) != 0 || std::ferror(stdout)) {
+        std::fprintf(stderr, "pifetch: cannot write stdout\n");
+        if (rc == 0)
+            rc = 1;
+    }
+    return rc;
 }

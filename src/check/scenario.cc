@@ -173,63 +173,18 @@ validateScenario(const Scenario &sc)
         if (const auto err = validateWorkloadSpec(*sc.spec))
             return err;
     }
-    // Upper caps follow the same threat model as the
-    // validateWorkloadParams maxima: a hand-edited or corrupted repro
-    // JSON must fail validation with a message, not abort in an
-    // allocator or hang in a replay loop. Each cap is orders of
-    // magnitude above anything the fuzzer emits.
-    const CacheConfig &l1 = sc.cfg.l1i;
-    if (l1.blockBytes != blockBytes)
-        return std::string("l1i.blockBytes must equal the global "
-                           "block size");
-    if (l1.assoc == 0 || l1.assoc > 64)
-        return std::string("l1i.assoc must be in [1, 64]");
-    if (l1.sizeBytes == 0 || l1.sizeBytes > 64ull * 1024 * 1024 ||
-        l1.sizeBytes % (static_cast<std::uint64_t>(l1.assoc) *
-                        l1.blockBytes) != 0) {
-        return std::string("l1i size must be a whole number of sets "
-                           "and <= 64 MB");
-    }
-    if (l1.mshrs == 0 || l1.mshrs > 4'096)
-        return std::string("l1i.mshrs must be in [1, 4096]");
+    if (const auto err = validateSystemConfig(sc.cfg))
+        return err;
+    // Stricter than a run accepts: the history-budget oracle shrinks
+    // the history to a 64-region floor, and fuzzed points keep bounded
+    // tables and at least one block after the trigger.
     const PifConfig &pif = sc.cfg.pif;
-    if (pif.blocksAfter == 0 || pif.blocksAfter > 64 ||
-        pif.blocksBefore > 64) {
-        return std::string("pif region blocks must be in [1, 64] "
-                           "after / [0, 64] before");
-    }
-    if (pif.historyRegions < 64 ||
-        pif.historyRegions > (std::uint64_t{1} << 22)) {
-        return std::string("pif.historyRegions must be in [64, 2^22]");
-    }
-    if (pif.indexAssoc == 0 || pif.indexEntries < pif.indexAssoc ||
-        pif.indexEntries > (1u << 20)) {
-        return std::string("pif index geometry must hold at least one "
-                           "set and at most 2^20 entries");
-    }
-    if (pif.numSabs == 0 || pif.numSabs > 256 ||
-        pif.sabWindowRegions == 0 || pif.sabWindowRegions > 1'024) {
-        return std::string("pif SABs must be in [1, 256] with a "
-                           "window in [1, 1024]");
-    }
-    if (pif.temporalEntries == 0 || pif.temporalEntries > 1'024)
-        return std::string("pif.temporalEntries must be in [1, 1024]");
-    const TifsConfig &tifs = sc.cfg.tifs;
-    if (tifs.historyEntries == 0 ||
-        tifs.historyEntries > (std::uint64_t{1} << 22)) {
-        return std::string("tifs.historyEntries must be in [1, 2^22]");
-    }
-    if (tifs.numSabs == 0 || tifs.numSabs > 256 ||
-        tifs.sabWindowBlocks == 0 || tifs.sabWindowBlocks > 4'096) {
-        return std::string("tifs SABs must be in [1, 256] with a "
-                           "window in [1, 4096]");
-    }
-    if (sc.cfg.nextLine.degree == 0 || sc.cfg.nextLine.degree > 256)
-        return std::string("nextLine.degree must be in [1, 256]");
-    if (sc.cfg.memory.l2HitLatency > 1'000'000 ||
-        sc.cfg.memory.memLatency > 1'000'000) {
-        return std::string("memory latencies must be <= 1e6 cycles");
-    }
+    if (pif.blocksAfter == 0)
+        return std::string("pif.blocksAfter must be >= 1");
+    if (pif.historyRegions < 64)
+        return std::string("pif.historyRegions must be >= 64");
+    if (pif.indexEntries == 0)
+        return std::string("pif.indexEntries must be >= 1");
     if (sc.measure < 1'000)
         return std::string("measure must be >= 1000 instructions");
     // Bound each half before summing so the sum cannot wrap.

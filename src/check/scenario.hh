@@ -74,9 +74,10 @@ Scenario scenarioFromSeed(std::uint64_t seed);
 
 /**
  * Check a scenario against the simulable parameter space: workload
- * bounds (validateWorkloadParams), cache-geometry consistency, PIF
- * sizing minima and a sane instruction budget. Returns nullopt when
- * valid, else a description of the first violation.
+ * bounds (validateWorkloadParams), the system config
+ * (validateSystemConfig), PIF sizing minima and a sane instruction
+ * budget. Returns nullopt when valid, else a description of the first
+ * violation.
  */
 std::optional<std::string> validateScenario(const Scenario &sc);
 

@@ -11,6 +11,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <ostream>
 #include <string>
 
@@ -155,5 +156,15 @@ struct SystemConfig
 
 /** Print a human-readable rendition of Table I for this config. */
 void printSystemConfig(const SystemConfig &cfg, std::ostream &os);
+
+/**
+ * Check @p cfg against the bounds the simulator needs to run without
+ * trapping, aborting in an allocator or hanging: cache and index-table
+ * geometry, region, history and SAB sizes, core widths and the thread
+ * count. Zero stays legal where it means unbounded (pif.historyRegions,
+ * pif.indexEntries). Returns nullopt when valid, else a description of
+ * the first violation.
+ */
+std::optional<std::string> validateSystemConfig(const SystemConfig &cfg);
 
 } // namespace pifetch

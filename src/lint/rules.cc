@@ -419,10 +419,9 @@ void
 checkClock(const SourceFile &f, const LintContext &, const Rule &rule,
            std::vector<Violation> &out)
 {
-    // Wall-clock reads are the perf subsystem's business only; tests
-    // may time themselves freely.
-    if (startsWith(f.path, "src/perf/") ||
-        startsWith(f.path, "tests/"))
+    // Timing lives in perfbench/, outside the scan set; tests may
+    // time themselves freely.
+    if (startsWith(f.path, "tests/"))
         return;
     if (!startsWith(f.path, "src/") && !startsWith(f.path, "examples/"))
         return;
@@ -438,9 +437,9 @@ checkClock(const SourceFile &f, const LintContext &, const Rule &rule,
             if (t.text == name) {
                 addViolation(out, rule, t.line,
                              "wall-clock read ('" + t.text +
-                                 "') outside src/perf/; results must "
-                                 "not depend on real time (timing "
-                                 "lives in src/perf/timer.hh)");
+                                 "'); results must not depend on "
+                                 "real time (timing lives in "
+                                 "perfbench/)");
             }
         }
     }
@@ -1047,10 +1046,10 @@ buildCatalog()
         r.id = "D-clock";
         r.category = "determinism";
         r.severity = Severity::Error;
-        r.summary = "no wall-clock reads outside src/perf/";
+        r.summary = "no wall-clock reads; timing lives in perfbench/";
         r.rationale =
             "A simulation result that depends on real time cannot be "
-            "golden-snapshotted; timing is the perf subsystem's job.";
+            "golden-snapshotted; timing is perfbench's job.";
         r.fixture.path = "src/sim/fixture.cc";
         r.fixture.bad =
             "#include <chrono>\n"
@@ -1143,8 +1142,7 @@ buildCatalog()
             "no heap allocation in hot-path files outside ctors";
         r.rationale =
             "PR 4's 1.3-1.5x replay win depends on an allocation-free "
-            "steady state; per-fetch allocation also perturbs the "
-            "perf gate.";
+            "steady state.";
         r.fixture.path = "src/pif/fixture.cc";
         r.fixture.bad =
             "#include <memory>\n"

@@ -5,8 +5,9 @@
  * Both simulation engines can optionally populate an EventStore
  * through the unified observer API (ObserverConfig::events, see
  * sim/observer.hh): when no store is attached, the replay hot path
- * pays one predictable branch per instruction and nothing else (the
- * perf gate locks that). When
+ * pays one predictable branch per instruction and nothing else
+ * (perfbench's `replay` workload times that path, and its
+ * `query.observed_ns_per_instr` metric the attached one). When
  * attached, every retired instruction, block-granularity fetch access
  * and prefetch fill appends a row to the *slices* table, and the
  * engine samples its cumulative counters into the *counters* table at

@@ -14,6 +14,7 @@
 #include <cerrno>
 #include <cmath>
 #include <cstdlib>
+#include <limits>
 #include <type_traits>
 
 #include "common/parallel.hh"
@@ -903,9 +904,12 @@ applyConfigOverride(SystemConfig &cfg, const std::string &key,
     double d = 0.0;
 
     const auto setU = [&](auto &field) {
-        if (!parseU64Value(value, u))
+        using Field = std::decay_t<decltype(field)>;
+        // Refuse what would truncate: 2^32 + 4 SABs would run as 4.
+        if (!parseU64Value(value, u) ||
+            u > std::numeric_limits<Field>::max())
             return false;
-        field = static_cast<std::decay_t<decltype(field)>>(u);
+        field = static_cast<Field>(u);
         return true;
     };
 

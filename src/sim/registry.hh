@@ -96,8 +96,10 @@ ResultValue configToResult(const SystemConfig &cfg);
 
 /**
  * Apply a `key=value` configuration override ("pif.historyRegions",
- * "nextLine.degree", "seed", ...). Returns false on an unknown key or
- * unparsable value. configOverrideKeys() lists the supported keys.
+ * "nextLine.degree", "seed", ...). Returns false on an unknown key, an
+ * unparsable value or one wider than its field. It does not bound the
+ * result; run validateSystemConfig() once all overrides are applied.
+ * configOverrideKeys() lists the supported keys.
  */
 bool applyConfigOverride(SystemConfig &cfg, const std::string &key,
                          const std::string &value);

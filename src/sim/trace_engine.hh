@@ -105,9 +105,10 @@ class TraceEngine
      * Configure observation: stream digests and/or event-store
      * recording (see ObserverConfig). Detached (the default) the
      * replay hot path pays one predictable branch per instruction and
-     * nothing else, so the perf gate sees no overhead. Configure
-     * before the first advance()/run() so differential runs observe
-     * identical windows; digest state accumulated so far is kept.
+     * nothing else (perfbench's `replay` workload times it detached).
+     * Configure before the first advance()/run() so differential runs
+     * observe identical windows; digest state accumulated so far is
+     * kept.
      */
     void attachObservers(const ObserverConfig &obs)
     {

@@ -9,6 +9,8 @@
 #include <fstream>
 #include <sstream>
 
+#include "sim/registry.hh"
+
 namespace pifetch {
 
 namespace {
@@ -88,6 +90,36 @@ sweepShardPoints(const SweepManifest &m, unsigned k)
     for (std::uint64_t p = k; p < total; p += m.shards)
         points.push_back(p);
     return points;
+}
+
+std::optional<std::string>
+validateSweepGrid(const SweepManifest &m, const SystemConfig &base)
+{
+    std::uint64_t points = 1;
+    for (const SweepAxis &axis : m.axes) {
+        if (axis.key == "threads") {
+            return std::string("'threads' is not sweepable (results "
+                               "are thread-invariant); use --threads "
+                               "for the fan-out width");
+        }
+        // Bounded before each multiply, so the product cannot wrap and
+        // checking every point below stays cheap.
+        points *= axis.values.size();
+        if (points > (std::uint64_t{1} << 20))
+            return std::string("sweep grid above 2^20 points");
+    }
+    for (std::uint64_t p = 0; p < points; ++p) {
+        SystemConfig cfg = base;
+        std::string label;
+        for (const auto &[key, value] : sweepPointParams(m, p)) {
+            if (!applyConfigOverride(cfg, key, value))
+                return "bad sweep value " + key + "=" + value;
+            label += (label.empty() ? "" : " ") + key + "=" + value;
+        }
+        if (const auto err = validateSystemConfig(cfg))
+            return "sweep point " + label + ": " + *err;
+    }
+    return std::nullopt;
 }
 
 ResultValue
@@ -228,6 +260,14 @@ manifestFromResult(const ResultValue &doc, std::string *err)
     if ((doc.find("warmup") && !m.warmup) ||
         (doc.find("measure") && !m.measure))
         return bad("warmup/measure must be non-negative integers");
+
+    SystemConfig base;
+    for (const auto &[key, value] : m.overrides) {
+        if (!applyConfigOverride(base, key, value))
+            return bad("bad config override " + key + "=" + value);
+    }
+    if (const auto grid_err = validateSweepGrid(m, base))
+        return bad(*grid_err);
     return m;
 }
 

@@ -28,6 +28,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/config.hh"
 #include "common/results.hh"
 
 namespace pifetch {
@@ -85,13 +86,25 @@ unsigned sweepPointShard(std::uint64_t p, unsigned shards);
 std::vector<std::uint64_t> sweepShardPoints(const SweepManifest &m,
                                             unsigned k);
 
+/**
+ * Check the grid of @p m against @p base, the configuration every
+ * point starts from: no axis may be `threads` (results are
+ * thread-invariant and each point runs serially), every value must
+ * apply to its key, every point's configuration must pass
+ * validateSystemConfig(), and the grid may hold at most 2^20 points.
+ * Returns nullopt when valid, else the first problem.
+ */
+std::optional<std::string> validateSweepGrid(const SweepManifest &m,
+                                             const SystemConfig &base);
+
 /** Serialize @p m as the canonical manifest document. */
 ResultValue manifestToResult(const SweepManifest &m);
 
 /**
  * Parse a manifest document (schema pifetch-sweep-manifest-v1).
  * Returns nullopt and sets @p err on a malformed or inconsistent
- * document (unknown schema, empty axes, shards == 0, ...).
+ * document (unknown schema, empty axes, shards == 0, a bad override,
+ * a grid validateSweepGrid() refuses, ...).
  */
 std::optional<SweepManifest>
 manifestFromResult(const ResultValue &doc, std::string *err = nullptr);

@@ -209,8 +209,11 @@ runSweepPoint(const ExperimentSpec &spec, const RunOptions &base,
 {
     RunOptions point = base;
     point.cfg.threads = 1;
-    for (const auto &[key, value] : sweepPointParams(m, p))
-        applyConfigOverride(point.cfg, key, value);
+    for (const auto &[key, value] : sweepPointParams(m, p)) {
+        if (!applyConfigOverride(point.cfg, key, value))
+            panic("sweep point " + key + "=" + value +
+                  " skipped validateSweepGrid");
+    }
     return runExperiment(spec, point);
 }
 

@@ -81,7 +81,8 @@ std::optional<RunOptions> sweepBaseOptions(const ExperimentSpec &spec,
 /**
  * Run grid point @p p: base options plus the point's axis assignment,
  * threads pinned to 1 so the result is identical no matter which
- * process or pool lane executes it.
+ * process or pool lane executes it. @p m's grid must have passed
+ * validateSweepGrid() (loadManifest checks it).
  */
 ResultValue runSweepPoint(const ExperimentSpec &spec,
                           const RunOptions &base, const SweepManifest &m,

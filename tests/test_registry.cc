@@ -136,6 +136,52 @@ TEST(ConfigOverrides, ApplyParseAndReject)
     }
 }
 
+TEST(ConfigOverrides, RefuseValuesWiderThanTheirField)
+{
+    SystemConfig cfg;
+    // 2^32 + 4 SABs would run as 4, and 2^32 + 1 threads as 1.
+    EXPECT_FALSE(applyConfigOverride(cfg, "pif.numSabs", "4294967300"));
+    EXPECT_FALSE(applyConfigOverride(cfg, "threads", "4294967297"));
+    EXPECT_EQ(cfg.pif.numSabs, SystemConfig{}.pif.numSabs);
+    EXPECT_EQ(cfg.threads, 0u);
+    EXPECT_TRUE(applyConfigOverride(cfg, "seed", "18446744073709551615"));
+    EXPECT_TRUE(applyConfigOverride(cfg, "l1i.assoc", "4294967295"));
+}
+
+TEST(ConfigOverrides, ValidateRejectsWhatTheSimulatorCannotRun)
+{
+    EXPECT_FALSE(validateSystemConfig(SystemConfig{}).has_value());
+    // Before the bounds, each invalid value crashed, hung, stopped in a
+    // constructor's fatalError() mid-run, or ran as another value.
+    // Zero stays legal where it means unbounded.
+    const struct
+    {
+        const char *key, *value;
+        bool valid;
+    } cases[] = {
+        {"l1i.assoc", "0", false},
+        {"core.retireWidth", "0", false},
+        {"core.dispatchWidth", "0", false},
+        {"pif.numSabs", "0", false},
+        {"l1i.mshrs", "4294967295", false},
+        {"pif.historyRegions", "4294967295", false},
+        {"tifs.historyEntries", "4294967295", false},
+        {"tifs.historyEntries", "0", false},
+        {"nextLine.degree", "4294967295", false},
+        {"l1i.sizeBytes", "1000", false},
+        {"pif.blocksBefore", "31", false},
+        {"threads", "257", false},
+        {"pif.historyRegions", "0", true},
+        {"pif.indexEntries", "0", true},
+    };
+    for (const auto &c : cases) {
+        SystemConfig cfg;
+        ASSERT_TRUE(applyConfigOverride(cfg, c.key, c.value)) << c.key;
+        EXPECT_EQ(validateSystemConfig(cfg).has_value(), !c.valid)
+            << c.key << "=" << c.value;
+    }
+}
+
 TEST(GoldenEntries, ReferenceRegisteredExperiments)
 {
     ASSERT_FALSE(goldenSuite().empty());

@@ -151,6 +151,23 @@ TEST(SweepManifestIo, MalformedDocumentsAreRejected)
     mutate([](ResultValue &d) { d.set("points", 999u); });
     mutate([](ResultValue &d) { d.set("axes", ResultValue::array()); });
     mutate([](ResultValue &d) { d.set("experiment", ""); });
+
+    // Axis values are checked on load, as the CLI checks --param: an
+    // unparsable value would run the default config under its label,
+    // and a point the simulator cannot run would crash the worker.
+    const auto badAxis = [&](const std::string &key,
+                             std::vector<std::string> values,
+                             const std::string &why) {
+        SweepManifest bad = good;
+        bad.axes = {{key, std::move(values)}};
+        std::string err;
+        EXPECT_FALSE(manifestFromResult(manifestToResult(bad), &err)
+                         .has_value()) << key;
+        EXPECT_NE(err.find(why), std::string::npos) << err;
+    };
+    badAxis("pif.blocksBefore", {"1", "zzz"}, "zzz");
+    badAxis("pif.numSabs", {"1", "0"}, "pif.numSabs=0");
+    badAxis("threads", {"1", "2"}, "threads");
 }
 
 // ----------------------------------------- crash / resume / identity
