@@ -42,23 +42,36 @@ main()
     for (ServerWorkload w : oltp) {
         std::printf("=== OLTP %s ===\n", workloadName(w).c_str());
 
-        const auto coverage = runFig10Coverage(w, budget, cfg);
-        std::printf("  baseline L1-I misses: %llu\n",
-                    static_cast<unsigned long long>(
-                        coverage.front().baselineMisses));
-        for (const auto &p : coverage) {
-            std::printf("  %-12s miss coverage %6.2f%%  (%llu left)\n",
-                        prefetcherName(p.kind).c_str(),
-                        100.0 * p.missCoverage,
-                        static_cast<unsigned long long>(
-                            p.remainingMisses));
-        }
+        // Every engine run is independent and only reads the shared
+        // Program, so all nine run as one task list on the pool.
+        const WorkloadRef ref = w;
+        const Program prog = ref.buildProgram();
+        constexpr std::size_t nc = std::size(fig10CoverageKinds);
+        constexpr std::size_t ns = std::size(fig10SpeedupKinds);
+        std::uint64_t misses[nc] = {};
+        double uipc[ns] = {};
+        parallelFor(cfg.threads, nc + ns, [&](std::uint64_t i) {
+            if (i < nc) {
+                misses[i] = runFig10Coverage(ref, prog, budget,
+                                             fig10CoverageKinds[i], cfg);
+            } else {
+                uipc[i - nc] = runFig10Speedup(
+                    ref, prog, budget, fig10SpeedupKinds[i - nc], cfg);
+            }
+        });
 
-        const auto speedups = runFig10Speedup(w, budget, cfg);
-        for (const auto &p : speedups) {
+        std::printf("  baseline L1-I misses: %llu\n",
+                    static_cast<unsigned long long>(misses[0]));
+        for (std::size_t k = 1; k < nc; ++k) {
+            std::printf("  %-12s miss coverage %6.2f%%  (%llu left)\n",
+                        prefetcherName(fig10CoverageKinds[k]).c_str(),
+                        100.0 * missCoverage(misses[0], misses[k]),
+                        static_cast<unsigned long long>(misses[k]));
+        }
+        for (std::size_t k = 0; k < ns; ++k) {
             std::printf("  %-12s UIPC %.4f  speedup %.3fx\n",
-                        prefetcherName(p.kind).c_str(), p.uipc,
-                        p.speedup);
+                        prefetcherName(fig10SpeedupKinds[k]).c_str(),
+                        uipc[k], uipc[0] > 0.0 ? uipc[k] / uipc[0] : 0.0);
         }
         std::printf("\n");
     }

@@ -16,6 +16,7 @@
 #include "common/parallel.hh"
 
 #include <algorithm>
+#include <cctype>
 #include <cstdlib>
 
 namespace pifetch {
@@ -54,15 +55,17 @@ unsigned
 defaultThreads()
 {
     if (const char *env = std::getenv("PIFETCH_THREADS")) {
-        const long v = std::strtol(env, nullptr, 10);
-        if (v > 0) {
+        char *end = nullptr;
+        const long v = std::strtol(env, &end, 10);
+        if (std::isdigit(static_cast<unsigned char>(*env)) &&
+            *end == '\0' && v > 0) {
             return static_cast<unsigned>(
                 std::min<long>(v, maxPoolThreads));
         }
         return 1;  // malformed or non-positive: be strictly serial
     }
-    const unsigned hw = std::thread::hardware_concurrency();
-    return hw > 0 ? hw : 1;
+    return std::clamp(std::thread::hardware_concurrency(), 1u,
+                      maxPoolThreads);
 }
 
 unsigned

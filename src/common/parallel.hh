@@ -34,8 +34,9 @@ namespace pifetch {
 
 /**
  * Number of workers used when a caller asks for "auto" (threads == 0):
- * PIFETCH_THREADS if set to a positive integer, otherwise
- * std::thread::hardware_concurrency(), and at least 1.
+ * PIFETCH_THREADS if set (a positive whole decimal number; anything
+ * else pins 1), otherwise std::thread::hardware_concurrency(). Always
+ * at least 1 and at most the pool's 256-lane ceiling.
  */
 unsigned defaultThreads();
 

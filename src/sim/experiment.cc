@@ -5,7 +5,6 @@
 
 #include "sim/experiment.hh"
 
-#include "common/parallel.hh"
 #include "pif/pif_prefetcher.hh"
 #include "pif/region_analyzer.hh"
 #include "pif/spatial_compactor.hh"
@@ -177,36 +176,24 @@ runFig8Left(const WorkloadRef &w, InstCount instrs)
     return analyzer.offsets();
 }
 
-std::vector<Fig8RightPoint>
-runFig8Right(const WorkloadRef &w, const ExperimentBudget &budget,
+Fig8RightPoint
+runFig8Right(const WorkloadRef &w, const Program &prog,
+             const ExperimentBudget &budget, const RegionGeometry &g,
              const SystemConfig &cfg)
 {
-    // Region size -> (blocks before, blocks after) skewed toward
-    // succeeding blocks per Section 5.2.
-    struct Geometry { unsigned total, before, after; };
-    static const Geometry geometries[] = {
-        {1, 0, 0}, {2, 0, 1}, {4, 1, 2}, {6, 2, 3}, {8, 2, 5},
-    };
+    SystemConfig c = cfg;
+    c.pif.blocksBefore = g.before;
+    c.pif.blocksAfter = g.after;
+    auto pif = std::make_unique<PifPrefetcher>(c.pif, false);
+    PifPrefetcher *pif_raw = pif.get();
+    TraceEngine engine(c, prog, w.executorConfig(), std::move(pif));
+    engine.run(budget.warmup, budget.measure);
 
-    const Program prog = w.buildProgram();
-    std::vector<Fig8RightPoint> out;
-    for (const Geometry &g : geometries) {
-        SystemConfig c = cfg;
-        c.pif.blocksBefore = g.before;
-        c.pif.blocksAfter = g.after;
-        auto pif = std::make_unique<PifPrefetcher>(c.pif, false);
-        PifPrefetcher *pif_raw = pif.get();
-        TraceEngine engine(c, prog, w.executorConfig(),
-                           std::move(pif));
-        engine.run(budget.warmup, budget.measure);
-
-        Fig8RightPoint p;
-        p.regionBlocks = g.total;
-        p.tl0Coverage = pif_raw->coverage(0);
-        p.tl1Coverage = pif_raw->coverage(1);
-        out.push_back(p);
-    }
-    return out;
+    Fig8RightPoint p;
+    p.regionBlocks = g.total;
+    p.tl0Coverage = pif_raw->coverage(0);
+    p.tl1Coverage = pif_raw->coverage(1);
+    return p;
 }
 
 Log2Histogram
@@ -232,109 +219,47 @@ runFig9Left(const WorkloadRef &w, InstCount instrs)
     return study.histogram();
 }
 
-std::vector<Fig9RightPoint>
-runFig9Right(const WorkloadRef &w, const ExperimentBudget &budget,
-             const std::vector<std::uint64_t> &sizes,
+double
+runFig9Right(const WorkloadRef &w, const Program &prog,
+             const ExperimentBudget &budget, std::uint64_t history_regions,
              const SystemConfig &cfg)
 {
-    const Program prog = w.buildProgram();
-    std::vector<Fig9RightPoint> out;
-    for (std::uint64_t regions : sizes) {
-        SystemConfig c = cfg;
-        c.pif.historyRegions = regions;
-        auto pif = std::make_unique<PifPrefetcher>(c.pif, false);
-        PifPrefetcher *pif_raw = pif.get();
-        TraceEngine engine(c, prog, w.executorConfig(),
-                           std::move(pif));
-        engine.run(budget.warmup, budget.measure);
-
-        Fig9RightPoint p;
-        p.historyRegions = regions;
-        p.coverage = pif_raw->coverage();
-        out.push_back(p);
-    }
-    return out;
+    SystemConfig c = cfg;
+    c.pif.historyRegions = history_regions;
+    auto pif = std::make_unique<PifPrefetcher>(c.pif, false);
+    PifPrefetcher *pif_raw = pif.get();
+    TraceEngine engine(c, prog, w.executorConfig(), std::move(pif));
+    engine.run(budget.warmup, budget.measure);
+    return pif_raw->coverage();
 }
 
-std::vector<Fig10CoveragePoint>
-runFig10Coverage(const WorkloadRef &w, const ExperimentBudget &budget,
+std::uint64_t
+runFig10Coverage(const WorkloadRef &w, const Program &prog,
+                 const ExperimentBudget &budget, PrefetcherKind kind,
                  const SystemConfig &cfg)
 {
-    const Program prog = w.buildProgram();
-
-    // Slot 0 (None -> NullPrefetcher) is the baseline defining the
-    // miss population. Every engine is independent (the shared
-    // Program is read-only), so all four run concurrently and results
-    // land in fixed slots.
-    static constexpr PrefetcherKind kinds[] = {
-        PrefetcherKind::None,
-        PrefetcherKind::NextLine,
-        PrefetcherKind::Tifs,
-        PrefetcherKind::Pif,
-    };
-    constexpr std::size_t num_kinds =
-        sizeof(kinds) / sizeof(kinds[0]);
-
-    std::uint64_t misses[num_kinds] = {};
-    parallelFor(cfg.threads, num_kinds, [&](std::uint64_t i) {
-        // Section 5.5 compares without storage limitations.
-        TraceEngine engine(cfg, prog, w.executorConfig(),
-                           makePrefetcher(kinds[i], cfg, true));
-        misses[i] = engine.run(budget.warmup, budget.measure).misses;
-    });
-
-    const std::uint64_t baseline_misses = misses[0];
-    std::vector<Fig10CoveragePoint> out;
-    for (std::size_t i = 1; i < num_kinds; ++i) {
-        Fig10CoveragePoint p;
-        p.kind = kinds[i];
-        p.baselineMisses = baseline_misses;
-        p.remainingMisses = misses[i];
-        p.missCoverage = baseline_misses == 0
-            ? 0.0
-            : 1.0 - static_cast<double>(misses[i]) /
-                    static_cast<double>(baseline_misses);
-        if (p.missCoverage < 0.0)
-            p.missCoverage = 0.0;
-        out.push_back(p);
-    }
-    return out;
+    // Section 5.5 compares without storage limitations.
+    TraceEngine engine(cfg, prog, w.executorConfig(),
+                       makePrefetcher(kind, cfg, true));
+    return engine.run(budget.warmup, budget.measure).misses;
 }
 
-std::vector<Fig10SpeedupPoint>
-runFig10Speedup(const WorkloadRef &w, const ExperimentBudget &budget,
+double
+missCoverage(std::uint64_t baseline, std::uint64_t remaining)
+{
+    if (baseline == 0)
+        return 0.0;
+    return std::max(0.0, 1.0 - static_cast<double>(remaining) /
+                                   static_cast<double>(baseline));
+}
+
+double
+runFig10Speedup(const WorkloadRef &w, const Program &prog,
+                const ExperimentBudget &budget, PrefetcherKind kind,
                 const SystemConfig &cfg)
 {
-    const Program prog = w.buildProgram();
-
-    static constexpr PrefetcherKind kinds[] = {
-        PrefetcherKind::None,
-        PrefetcherKind::NextLine,
-        PrefetcherKind::Tifs,
-        PrefetcherKind::Pif,
-        PrefetcherKind::Perfect,
-    };
-    constexpr std::size_t num_kinds =
-        sizeof(kinds) / sizeof(kinds[0]);
-
-    double uipc[num_kinds] = {};
-    // One independent cycle engine per configuration; speedups are
-    // derived from the fixed slots after all engines complete.
-    parallelFor(cfg.threads, num_kinds, [&](std::uint64_t i) {
-        CycleEngine engine(cfg, prog, w.executorConfig(), kinds[i]);
-        uipc[i] = engine.run(budget.warmup, budget.measure).uipc;
-    });
-
-    const double baseline_uipc = uipc[0];  // kinds[0] is None
-    std::vector<Fig10SpeedupPoint> out;
-    for (std::size_t i = 0; i < num_kinds; ++i) {
-        Fig10SpeedupPoint p;
-        p.kind = kinds[i];
-        p.uipc = uipc[i];
-        p.speedup = baseline_uipc > 0.0 ? uipc[i] / baseline_uipc : 0.0;
-        out.push_back(p);
-    }
-    return out;
+    CycleEngine engine(cfg, prog, w.executorConfig(), kind);
+    return engine.run(budget.warmup, budget.measure).uipc;
 }
 
 } // namespace pifetch

@@ -4,8 +4,10 @@
  *
  * One function per table/figure of the paper's evaluation; the
  * experiment registry (sim/registry.hh) calls these and tabulates the
- * rows. Tests call them with small instruction budgets to check
- * invariants cheaply.
+ * rows. The swept figures (8 and 9 right, 10) run one configuration
+ * per call, so the registry can run every workload x configuration
+ * of a figure as one flat task list. Tests call them with small
+ * instruction budgets to check invariants cheaply.
  */
 
 #pragma once
@@ -61,7 +63,7 @@ Log2Histogram runFig7(const WorkloadRef &w, InstCount instrs);
 /** Figure 8 (left): access frequency by offset from the trigger. */
 LinearHistogram runFig8Left(const WorkloadRef &w, InstCount instrs);
 
-/** Figure 8 (right): PIF coverage per trap level vs region size. */
+/** Figure 8 (right): PIF coverage per trap level at one region size. */
 struct Fig8RightPoint
 {
     unsigned regionBlocks = 0;
@@ -69,49 +71,72 @@ struct Fig8RightPoint
     double tl1Coverage = 0.0;
 };
 
-std::vector<Fig8RightPoint>
-runFig8Right(const WorkloadRef &w, const ExperimentBudget &budget,
+/** A spatial region geometry: total blocks, split around the trigger. */
+struct RegionGeometry
+{
+    unsigned total, before, after;
+};
+
+/** Figure 8 (right)'s geometries in column order, skewed toward
+ * succeeding blocks per Section 5.2. */
+inline constexpr RegionGeometry fig8Geometries[] = {
+    {1, 0, 0}, {2, 0, 1}, {4, 1, 2}, {6, 2, 3}, {8, 2, 5},
+};
+
+/**
+ * Run Figure 8 (right) at one geometry on @p prog, the caller-built
+ * program of @p w. The experiment grids in sim/registry.cc share one
+ * read-only Program across every configuration of a workload; so do
+ * the other per-configuration drivers below.
+ */
+Fig8RightPoint
+runFig8Right(const WorkloadRef &w, const Program &prog,
+             const ExperimentBudget &budget, const RegionGeometry &g,
              const SystemConfig &cfg = SystemConfig{});
 
 /** Figure 9 (left): coverage-weighted temporal stream lengths
  * (in spatial regions). */
 Log2Histogram runFig9Left(const WorkloadRef &w, InstCount instrs);
 
-/** Figure 9 (right): PIF coverage vs history buffer capacity. */
-struct Fig9RightPoint
-{
-    std::uint64_t historyRegions = 0;
-    double coverage = 0.0;
+/** Figure 9 (right)'s history capacities (regions), in row order. */
+inline constexpr std::uint64_t fig9HistorySizes[] = {
+    2 * 1024, 8 * 1024, 32 * 1024, 128 * 1024, 512 * 1024,
 };
 
-std::vector<Fig9RightPoint>
-runFig9Right(const WorkloadRef &w, const ExperimentBudget &budget,
-             const std::vector<std::uint64_t> &sizes,
-             const SystemConfig &cfg = SystemConfig{});
+/** Figure 9 (right): PIF coverage with a history of
+ * @p history_regions on @p prog, the program of @p w. */
+double runFig9Right(const WorkloadRef &w, const Program &prog,
+                    const ExperimentBudget &budget,
+                    std::uint64_t history_regions,
+                    const SystemConfig &cfg = SystemConfig{});
 
-/** Figure 10 (left): L1-I miss coverage per prefetcher. */
-struct Fig10CoveragePoint
-{
-    PrefetcherKind kind;
-    double missCoverage = 0.0;
-    std::uint64_t baselineMisses = 0;
-    std::uint64_t remainingMisses = 0;
+/** Figure 10's prefetchers in table-column order. The first, None,
+ * is the baseline: it defines the miss population and the speedup
+ * denominator. */
+inline constexpr PrefetcherKind fig10CoverageKinds[] = {
+    PrefetcherKind::None, PrefetcherKind::NextLine,
+    PrefetcherKind::Tifs, PrefetcherKind::Pif,
+};
+inline constexpr PrefetcherKind fig10SpeedupKinds[] = {
+    PrefetcherKind::None, PrefetcherKind::NextLine,
+    PrefetcherKind::Tifs, PrefetcherKind::Pif, PrefetcherKind::Perfect,
 };
 
-std::vector<Fig10CoveragePoint>
-runFig10Coverage(const WorkloadRef &w, const ExperimentBudget &budget,
+/** Figure 10 (left): correct-path L1-I misses left on @p prog by
+ * @p kind without storage limitations (Section 5.5). */
+std::uint64_t
+runFig10Coverage(const WorkloadRef &w, const Program &prog,
+                 const ExperimentBudget &budget, PrefetcherKind kind,
                  const SystemConfig &cfg = SystemConfig{});
 
-/** Figure 10 (right): UIPC speedup over the no-prefetch baseline. */
-struct Fig10SpeedupPoint
-{
-    PrefetcherKind kind;
-    double uipc = 0.0;
-    double speedup = 0.0;
-};
+/** Share of @p baseline misses a prefetcher leaving @p remaining
+ * eliminated (0 without a baseline, never negative). */
+double missCoverage(std::uint64_t baseline, std::uint64_t remaining);
 
-std::vector<Fig10SpeedupPoint>
-runFig10Speedup(const WorkloadRef &w, const ExperimentBudget &budget,
-                const SystemConfig &cfg = SystemConfig{});
+/** Figure 10 (right): cycle-engine UIPC on @p prog with @p kind;
+ * a speedup is its ratio to the None run's. */
+double runFig10Speedup(const WorkloadRef &w, const Program &prog,
+                       const ExperimentBudget &budget, PrefetcherKind kind,
+                       const SystemConfig &cfg = SystemConfig{});
 
 } // namespace pifetch

@@ -127,78 +127,58 @@ meanMissRatioSince(const std::vector<std::unique_ptr<TraceEngine>> &eng,
 } // namespace
 
 SharedPifStudyResult
-runSharedPifStudy(const WorkloadRef &w, unsigned cores,
-                  std::uint64_t total_history_regions,
-                  InstCount warmup, InstCount measure,
+runSharedPifStudy(const WorkloadRef &w, const Program &prog,
+                  unsigned cores, std::uint64_t total_history_regions,
+                  bool shared, InstCount warmup, InstCount measure,
                   const SystemConfig &cfg)
 {
     // All cores execute the SAME binary (distinct interleavings), as
     // on a real server; otherwise cross-core sharing cannot help.
-    const Program prog = w.buildProgram();
-    SharedPifStudyResult out;
+    SystemConfig run_cfg = cfg;
+    run_cfg.pif.historyRegions =
+        shared ? total_history_regions
+               : std::max<std::uint64_t>(total_history_regions / cores,
+                                         256);
 
-    for (const bool shared : {false, true}) {
-        SystemConfig run_cfg = cfg;
-        run_cfg.pif.historyRegions =
-            shared ? total_history_regions
-                   : std::max<std::uint64_t>(total_history_regions /
-                                                 cores,
-                                             256);
+    std::shared_ptr<SharedPifStorage> storage;
+    if (shared)
+        storage = std::make_shared<SharedPifStorage>(run_cfg.pif);
 
-        std::shared_ptr<SharedPifStorage> storage;
-        if (shared)
-            storage = std::make_shared<SharedPifStorage>(run_cfg.pif);
-
-        std::vector<std::unique_ptr<TraceEngine>> engines;
-        std::vector<Prefetcher *> prefetchers;
-        for (unsigned core = 0; core < cores; ++core) {
-            std::unique_ptr<Prefetcher> pf;
-            if (shared) {
-                pf = std::make_unique<SharedPifPrefetcher>(storage);
-            } else {
-                pf = std::make_unique<PifPrefetcher>(run_cfg.pif);
-            }
-            prefetchers.push_back(pf.get());
-            SystemConfig core_cfg = run_cfg;
-            core_cfg.seed = run_cfg.seed + core * 7919;
-            engines.push_back(std::make_unique<TraceEngine>(
-                core_cfg, prog,
-                w.executorConfig(0, core + 1),
-                std::move(pf)));
-        }
-
-        interleave(engines, warmup);
-        std::vector<std::uint64_t> acc0(cores);
-        std::vector<std::uint64_t> miss0(cores);
-        for (unsigned c = 0; c < cores; ++c) {
-            acc0[c] = engines[c]->frontend().correctPathFetches();
-            miss0[c] = engines[c]->frontend().correctPathMisses();
-            prefetchers[c]->resetStats();
-        }
-        interleave(engines, measure);
-
-        const double miss_ratio =
-            meanMissRatioSince(engines, acc0, miss0);
-        double coverage = 0.0;
-        for (unsigned c = 0; c < cores; ++c) {
-            if (shared) {
-                coverage += dynamic_cast<SharedPifPrefetcher *>(
-                                prefetchers[c])->coverage();
-            } else {
-                coverage += dynamic_cast<PifPrefetcher *>(
-                                prefetchers[c])->coverage();
-            }
-        }
-        coverage /= cores;
-
+    std::vector<std::unique_ptr<TraceEngine>> engines;
+    std::vector<Prefetcher *> prefetchers;
+    for (unsigned core = 0; core < cores; ++core) {
+        std::unique_ptr<Prefetcher> pf;
         if (shared) {
-            out.sharedMissRatio = miss_ratio;
-            out.sharedCoverage = coverage;
+            pf = std::make_unique<SharedPifPrefetcher>(storage);
         } else {
-            out.privateMissRatio = miss_ratio;
-            out.privateCoverage = coverage;
+            pf = std::make_unique<PifPrefetcher>(run_cfg.pif);
         }
+        prefetchers.push_back(pf.get());
+        SystemConfig core_cfg = run_cfg;
+        core_cfg.seed = run_cfg.seed + core * 7919;
+        engines.push_back(std::make_unique<TraceEngine>(
+            core_cfg, prog, w.executorConfig(0, core + 1),
+            std::move(pf)));
     }
+
+    interleave(engines, warmup);
+    std::vector<std::uint64_t> acc0(cores);
+    std::vector<std::uint64_t> miss0(cores);
+    for (unsigned c = 0; c < cores; ++c) {
+        acc0[c] = engines[c]->frontend().correctPathFetches();
+        miss0[c] = engines[c]->frontend().correctPathMisses();
+        prefetchers[c]->resetStats();
+    }
+    interleave(engines, measure);
+
+    SharedPifStudyResult out;
+    out.missRatio = meanMissRatioSince(engines, acc0, miss0);
+    for (Prefetcher *pf : prefetchers) {
+        out.coverage += shared
+            ? static_cast<SharedPifPrefetcher *>(pf)->coverage()
+            : static_cast<PifPrefetcher *>(pf)->coverage();
+    }
+    out.coverage /= cores;
     return out;
 }
 

@@ -67,29 +67,27 @@ runMulticoreCycle(const WorkloadRef &w, PrefetcherKind kind, unsigned cores,
                   InstCount warmup, InstCount measure,
                   const SystemConfig &cfg = SystemConfig{});
 
-/** Result of the shared-vs-private PIF storage study (Section 4's
+/** One arm of the shared-vs-private PIF storage study (Section 4's
  * deferred optimization). */
 struct SharedPifStudyResult
 {
-    /** Mean miss ratio with dedicated per-core storage. */
-    double privateMissRatio = 0.0;
-    /** Mean miss ratio with one shared pool of equal aggregate size. */
-    double sharedMissRatio = 0.0;
-    /** Mean coverage, private configuration. */
-    double privateCoverage = 0.0;
-    /** Mean coverage, shared configuration. */
-    double sharedCoverage = 0.0;
+    /** Mean correct-path miss ratio across cores. */
+    double missRatio = 0.0;
+    /** Mean PIF coverage across cores. */
+    double coverage = 0.0;
 };
 
 /**
- * Compare dedicated per-core history (capacity/core = total/cores)
- * against one shared history of the same aggregate capacity, with all
- * cores executing the same program (distinct interleavings).
+ * Interleave @p cores engines on @p prog, the caller-built program of
+ * @p w: all cores execute the same binary (distinct interleavings).
+ * PIF history totals @p total_history_regions: one shared pool when
+ * @p shared, else a dedicated total/cores pool (at least 256 regions)
+ * per core. Compare the two arms at equal @p total_history_regions.
  */
 SharedPifStudyResult
-runSharedPifStudy(const WorkloadRef &w, unsigned cores,
-                  std::uint64_t total_history_regions,
-                  InstCount warmup, InstCount measure,
+runSharedPifStudy(const WorkloadRef &w, const Program &prog,
+                  unsigned cores, std::uint64_t total_history_regions,
+                  bool shared, InstCount warmup, InstCount measure,
                   const SystemConfig &cfg = SystemConfig{});
 
 } // namespace pifetch

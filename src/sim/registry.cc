@@ -3,9 +3,11 @@
  * Experiment registry implementation.
  *
  * Each runner turns one figure's reproduction loop into a
- * structured-result producer. Workload fan-out uses the worker pool
- * (common/parallel.hh) with results landing in fixed slots, so every
- * document is bit-identical at any thread count.
+ * structured-result producer. Each experiment runs its independent
+ * simulations as one flat task list on the worker pool
+ * (common/parallel.hh), every result landing in the slot its task
+ * index names, so every document is bit-identical at any thread
+ * count.
  */
 
 #include "sim/registry.hh"
@@ -40,6 +42,28 @@ ExperimentBudget
 budgetOf(const ExperimentSpec &spec, const RunOptions &opts)
 {
     return opts.budget ? *opts.budget : spec.defaultBudget;
+}
+
+/**
+ * Run fn(workload, program, config) for every workload x config pair
+ * as one task list on the pool. Each workload's Program is built once,
+ * over the pool, and its tasks share it read-only; the result of pair
+ * (w, c) lands in slot w * configs + c, whatever lane ran it.
+ */
+template <typename Result, typename Fn>
+std::vector<Result>
+runGrid(const std::vector<WorkloadRef> &ws, std::size_t configs,
+        unsigned threads, const Fn &fn)
+{
+    std::vector<Program> progs(ws.size());
+    parallelFor(threads, ws.size(), [&](std::uint64_t i) {
+        progs[i] = ws[i].buildProgram();
+    });
+    std::vector<Result> out(ws.size() * configs);
+    parallelFor(threads, out.size(), [&](std::uint64_t i) {
+        out[i] = fn(ws[i / configs], progs[i / configs], i % configs);
+    });
+    return out;
 }
 
 /** Standard row prefix: workload class and display name. */
@@ -336,15 +360,17 @@ runFig8RightBody(const ExperimentSpec &spec, const RunOptions &opts)
 {
     const std::vector<WorkloadRef> ws = workloadsOf(spec, opts);
     const ExperimentBudget budget = budgetOf(spec, opts);
-
-    std::vector<std::vector<Fig8RightPoint>> rs(ws.size());
-    parallelFor(opts.cfg.threads, ws.size(), [&](std::uint64_t i) {
-        rs[i] = runFig8Right(ws[i], budget, opts.cfg);
-    });
+    constexpr std::size_t n = std::size(fig8Geometries);
+    const auto rs = runGrid<Fig8RightPoint>(
+        ws, n, opts.cfg.threads,
+        [&](const WorkloadRef &w, const Program &prog, std::size_t g) {
+            return runFig8Right(w, prog, budget, fig8Geometries[g],
+                                opts.cfg);
+        });
 
     std::vector<std::string> cols = {"group", "workload", "trap_level"};
-    for (const Fig8RightPoint &p : rs.front())
-        cols.push_back("r" + std::to_string(p.regionBlocks));
+    for (const RegionGeometry &g : fig8Geometries)
+        cols.push_back("r" + std::to_string(g.total));
     ResultValue t = makeTable(
         "PIF coverage vs spatial region size (fraction)", cols);
     ResultValue &rows = *t.find("rows");
@@ -353,8 +379,10 @@ runFig8RightBody(const ExperimentSpec &spec, const RunOptions &opts)
             ResultValue row = ResultValue::array();
             pushWorkloadCells(row, ws[i]);
             row.push("TL" + std::to_string(tl));
-            for (const Fig8RightPoint &p : rs[i])
+            for (std::size_t g = 0; g < n; ++g) {
+                const Fig8RightPoint &p = rs[i * n + g];
                 row.push(tl == 0 ? p.tl0Coverage : p.tl1Coverage);
+            }
             rows.push(std::move(row));
         }
     }
@@ -370,14 +398,13 @@ runFig9RightBody(const ExperimentSpec &spec, const RunOptions &opts)
 {
     const std::vector<WorkloadRef> ws = workloadsOf(spec, opts);
     const ExperimentBudget budget = budgetOf(spec, opts);
-    const std::vector<std::uint64_t> sizes = {
-        2 * 1024, 8 * 1024, 32 * 1024, 128 * 1024, 512 * 1024,
-    };
-
-    std::vector<std::vector<Fig9RightPoint>> rs(ws.size());
-    parallelFor(opts.cfg.threads, ws.size(), [&](std::uint64_t i) {
-        rs[i] = runFig9Right(ws[i], budget, sizes, opts.cfg);
-    });
+    constexpr std::size_t n = std::size(fig9HistorySizes);
+    const auto coverage = runGrid<double>(
+        ws, n, opts.cfg.threads,
+        [&](const WorkloadRef &w, const Program &prog, std::size_t s) {
+            return runFig9Right(w, prog, budget, fig9HistorySizes[s],
+                                opts.cfg);
+        });
 
     std::vector<std::string> cols = {"history_regions"};
     for (const WorkloadRef &w : ws)
@@ -385,11 +412,11 @@ runFig9RightBody(const ExperimentSpec &spec, const RunOptions &opts)
     ResultValue t = makeTable(
         "PIF predictor coverage vs history size (fraction)", cols);
     ResultValue &rows = *t.find("rows");
-    for (std::size_t s = 0; s < sizes.size(); ++s) {
+    for (std::size_t s = 0; s < n; ++s) {
         ResultValue row = ResultValue::array();
-        row.push(sizes[s]);
-        for (const auto &points : rs)
-            row.push(points[s].coverage);
+        row.push(fig9HistorySizes[s]);
+        for (std::size_t i = 0; i < ws.size(); ++i)
+            row.push(coverage[i * n + s]);
         rows.push(std::move(row));
     }
     ResultValue body = ResultValue::object();
@@ -404,35 +431,26 @@ runFig10CoverageBody(const ExperimentSpec &spec, const RunOptions &opts)
 {
     const std::vector<WorkloadRef> ws = workloadsOf(spec, opts);
     const ExperimentBudget budget = budgetOf(spec, opts);
+    constexpr std::size_t n = std::size(fig10CoverageKinds);
+    const auto misses = runGrid<std::uint64_t>(
+        ws, n, opts.cfg.threads,
+        [&](const WorkloadRef &w, const Program &prog, std::size_t k) {
+            return runFig10Coverage(w, prog, budget,
+                                    fig10CoverageKinds[k], opts.cfg);
+        });
 
     ResultValue t = makeTable(
         "L1-I miss coverage, no storage limitation (fraction)",
         {"group", "workload", "next_line", "tifs", "pif",
          "baseline_misses"});
     ResultValue &rows = *t.find("rows");
-    // The inner runner fans one engine per prefetcher over the pool;
-    // the workload loop stays serial to avoid nested fan-out.
-    for (const WorkloadRef &w : ws) {
-        const auto points = runFig10Coverage(w, budget, opts.cfg);
-        double nl = 0.0;
-        double tifs = 0.0;
-        double pif = 0.0;
-        std::uint64_t base = 0;
-        for (const auto &p : points) {
-            base = p.baselineMisses;
-            if (p.kind == PrefetcherKind::NextLine)
-                nl = p.missCoverage;
-            if (p.kind == PrefetcherKind::Tifs)
-                tifs = p.missCoverage;
-            if (p.kind == PrefetcherKind::Pif)
-                pif = p.missCoverage;
-        }
+    for (std::size_t i = 0; i < ws.size(); ++i) {
+        const std::uint64_t *m = &misses[i * n];  // m[0]: None
         ResultValue row = ResultValue::array();
-        pushWorkloadCells(row, w);
-        row.push(nl);
-        row.push(tifs);
-        row.push(pif);
-        row.push(base);
+        pushWorkloadCells(row, ws[i]);
+        for (std::size_t k = 1; k < n; ++k)
+            row.push(missCoverage(m[0], m[k]));
+        row.push(m[0]);
         rows.push(std::move(row));
     }
     ResultValue body = ResultValue::object();
@@ -445,6 +463,13 @@ runFig10SpeedupBody(const ExperimentSpec &spec, const RunOptions &opts)
 {
     const std::vector<WorkloadRef> ws = workloadsOf(spec, opts);
     const ExperimentBudget budget = budgetOf(spec, opts);
+    constexpr std::size_t n = std::size(fig10SpeedupKinds);
+    const auto uipc = runGrid<double>(
+        ws, n, opts.cfg.threads,
+        [&](const WorkloadRef &w, const Program &prog, std::size_t k) {
+            return runFig10Speedup(w, prog, budget,
+                                   fig10SpeedupKinds[k], opts.cfg);
+        });
 
     ResultValue t = makeTable(
         "Speedup over the no-prefetch baseline (UIPC ratio)",
@@ -453,36 +478,22 @@ runFig10SpeedupBody(const ExperimentSpec &spec, const RunOptions &opts)
     ResultValue &rows = *t.find("rows");
     double geo_pif = 1.0;
     double geo_perfect = 1.0;
-    for (const WorkloadRef &w : ws) {
-        const auto points = runFig10Speedup(w, budget, opts.cfg);
-        double base_uipc = 0.0;
-        double nl = 0.0;
-        double tifs = 0.0;
-        double pif = 0.0;
-        double perfect = 0.0;
-        for (const auto &p : points) {
-            switch (p.kind) {
-              case PrefetcherKind::None:     base_uipc = p.uipc; break;
-              case PrefetcherKind::NextLine: nl = p.speedup; break;
-              case PrefetcherKind::Tifs:     tifs = p.speedup; break;
-              case PrefetcherKind::Pif:      pif = p.speedup; break;
-              case PrefetcherKind::Perfect:  perfect = p.speedup; break;
-              default: break;
-            }
-        }
+    for (std::size_t i = 0; i < ws.size(); ++i) {
+        const double *u = &uipc[i * n];  // u[0]: None
+        const auto speedup = [u](std::size_t k) {
+            return u[0] > 0.0 ? u[k] / u[0] : 0.0;
+        };
         ResultValue row = ResultValue::array();
-        pushWorkloadCells(row, w);
-        row.push(nl);
-        row.push(tifs);
-        row.push(pif);
-        row.push(perfect);
-        row.push(base_uipc);
+        pushWorkloadCells(row, ws[i]);
+        for (std::size_t k = 1; k < n; ++k)
+            row.push(speedup(k));
+        row.push(u[0]);
         rows.push(std::move(row));
-        geo_pif *= pif;
-        geo_perfect *= perfect;
+        geo_pif *= speedup(3);      // fig10SpeedupKinds[3]: Pif
+        geo_perfect *= speedup(4);  // [4]: Perfect
     }
 
-    const double n = static_cast<double>(ws.size());
+    const double n_ws = static_cast<double>(ws.size());
     ResultValue geo = makeTable("Geometric-mean speedup",
                                 {"prefetcher", "speedup"});
     ResultValue &geo_rows = *geo.find("rows");
@@ -494,8 +505,8 @@ runFig10SpeedupBody(const ExperimentSpec &spec, const RunOptions &opts)
                               : std::pow(product, 1.0 / count));
         geo_rows.push(std::move(row));
     };
-    add("PIF", geo_pif, n);
-    add("Perfect", geo_perfect, n);
+    add("PIF", geo_pif, n_ws);
+    add("Perfect", geo_perfect, n_ws);
 
     ResultValue body = ResultValue::object();
     body.set("tables", ResultValue::array()
@@ -516,51 +527,97 @@ runAblationBody(const ExperimentSpec &spec, const RunOptions &opts)
     const Program prog = w.buildProgram();
     const SystemConfig &base = opts.cfg;
 
-    const auto runPif = [&](const SystemConfig &cfg) {
-        TraceEngine engine(cfg, prog, w.executorConfig(),
-                           std::make_unique<PifPrefetcher>(cfg.pif));
-        return engine.run(budget.warmup, budget.measure);
+    // Every design point is one task writing its own slot; all 27 run
+    // as one list, and the tables read the slots afterwards.
+    std::vector<std::function<void()>> tasks;
+
+    // The shared-storage arms go first: each interleaves 4 cores for
+    // half the budget, twice a single run, so a lane that claimed one
+    // last would finish alone.
+    const std::vector<std::uint64_t> totals = {8192, 32768};
+    std::vector<SharedPifStudyResult> study(2 * totals.size());
+    for (std::size_t i = 0; i < study.size(); ++i) {
+        tasks.push_back([&, i] {  // slot 2t: private, 2t + 1: shared
+            study[i] = runSharedPifStudy(w, prog, 4, totals[i / 2],
+                                         i % 2 == 1, budget.warmup / 2,
+                                         budget.measure / 2, base);
+        });
+    }
+
+    // Then the 23 single-engine points, each PIF or next-line.
+    const auto addRun = [&](TraceRunResult &slot, const SystemConfig &cfg,
+                            bool next_line) {
+        tasks.push_back([&, cfg, next_line] {
+            std::unique_ptr<Prefetcher> pf;
+            if (next_line) {
+                pf = std::make_unique<NextLinePrefetcher>(cfg.nextLine);
+            } else {
+                pf = std::make_unique<PifPrefetcher>(cfg.pif);
+            }
+            TraceEngine engine(cfg, prog, w.executorConfig(),
+                               std::move(pf));
+            slot = engine.run(budget.warmup, budget.measure);
+        });
     };
 
-    ResultValue tables = ResultValue::array();
+    const std::vector<unsigned> depths = {1, 2, 4, 8, 16};
+    std::vector<TraceRunResult> depth_rs(depths.size());
+    for (std::size_t i = 0; i < depths.size(); ++i) {
+        SystemConfig cfg = base;
+        cfg.pif.temporalEntries = depths[i];
+        addRun(depth_rs[i], cfg, false);
+    }
 
+    struct Grid { unsigned sabs, window; };
+    std::vector<Grid> grid;
+    for (unsigned sabs : {1u, 2u, 4u, 8u})
+        for (unsigned window : {3u, 7u, 15u})
+            grid.push_back({sabs, window});
+    std::vector<TraceRunResult> sab_rs(grid.size());
+    for (std::size_t i = 0; i < grid.size(); ++i) {
+        SystemConfig cfg = base;
+        cfg.pif.numSabs = grid[i].sabs;
+        cfg.pif.sabWindowRegions = grid[i].window;
+        addRun(sab_rs[i], cfg, false);
+    }
+
+    std::vector<TraceRunResult> sep_rs(2);
+    for (std::size_t i = 0; i < sep_rs.size(); ++i) {
+        SystemConfig cfg = base;
+        cfg.pif.separateTrapLevels = i == 1;
+        addRun(sep_rs[i], cfg, false);
+    }
+
+    const std::vector<unsigned> degrees = {1, 2, 4, 8};
+    std::vector<TraceRunResult> nl_rs(degrees.size());
+    for (std::size_t i = 0; i < degrees.size(); ++i) {
+        SystemConfig cfg = base;
+        cfg.nextLine.degree = degrees[i];
+        addRun(nl_rs[i], cfg, true);
+    }
+
+    parallelFor(base.threads, tasks.size(),
+                [&](std::uint64_t i) { tasks[i](); });
+
+    ResultValue tables = ResultValue::array();
     {
-        const std::vector<unsigned> depths = {1, 2, 4, 8, 16};
-        std::vector<TraceRunResult> rs(depths.size());
-        parallelFor(base.threads, depths.size(), [&](std::uint64_t i) {
-            SystemConfig cfg = base;
-            cfg.pif.temporalEntries = depths[i];
-            rs[i] = runPif(cfg);
-        });
         ResultValue t = makeTable(
             "Temporal compactor depth (PIF on " + w.name() + ")",
             {"entries", "coverage", "issued_per_kinst", "miss_ratio"});
         ResultValue &rows = *t.find("rows");
         for (std::size_t i = 0; i < depths.size(); ++i) {
+            const TraceRunResult &r = depth_rs[i];
             ResultValue row = ResultValue::array();
             row.push(depths[i]);
-            row.push(rs[i].pifCoverage);
-            row.push(static_cast<double>(rs[i].prefetchIssued) *
-                     1000.0 / static_cast<double>(rs[i].instrs));
-            row.push(rs[i].missRatio());
+            row.push(r.pifCoverage);
+            row.push(static_cast<double>(r.prefetchIssued) * 1000.0 /
+                     static_cast<double>(r.instrs));
+            row.push(r.missRatio());
             rows.push(std::move(row));
         }
         tables.push(std::move(t));
     }
-
     {
-        struct Grid { unsigned sabs, window; };
-        std::vector<Grid> grid;
-        for (unsigned sabs : {1u, 2u, 4u, 8u})
-            for (unsigned window : {3u, 7u, 15u})
-                grid.push_back({sabs, window});
-        std::vector<TraceRunResult> rs(grid.size());
-        parallelFor(base.threads, grid.size(), [&](std::uint64_t i) {
-            SystemConfig cfg = base;
-            cfg.pif.numSabs = grid[i].sabs;
-            cfg.pif.sabWindowRegions = grid[i].window;
-            rs[i] = runPif(cfg);
-        });
         ResultValue t = makeTable(
             "SAB count x window (paper: 4 SABs x 7 regions)",
             {"sabs", "window", "coverage", "miss_ratio"});
@@ -569,84 +626,59 @@ runAblationBody(const ExperimentSpec &spec, const RunOptions &opts)
             ResultValue row = ResultValue::array();
             row.push(grid[i].sabs);
             row.push(grid[i].window);
-            row.push(rs[i].pifCoverage);
-            row.push(rs[i].missRatio());
+            row.push(sab_rs[i].pifCoverage);
+            row.push(sab_rs[i].missRatio());
             rows.push(std::move(row));
         }
         tables.push(std::move(t));
     }
-
     {
-        std::vector<TraceRunResult> rs(2);
-        parallelFor(base.threads, 2, [&](std::uint64_t i) {
-            SystemConfig cfg = base;
-            cfg.pif.separateTrapLevels = i == 1;
-            rs[i] = runPif(cfg);
-        });
         ResultValue t = makeTable(
             "Trap-level stream separation",
             {"separate", "coverage", "miss_ratio"});
         ResultValue &rows = *t.find("rows");
-        for (std::size_t i = 0; i < rs.size(); ++i) {
+        for (std::size_t i = 0; i < sep_rs.size(); ++i) {
             ResultValue row = ResultValue::array();
             row.push(i == 1);
-            row.push(rs[i].pifCoverage);
-            row.push(rs[i].missRatio());
+            row.push(sep_rs[i].pifCoverage);
+            row.push(sep_rs[i].missRatio());
             rows.push(std::move(row));
         }
         tables.push(std::move(t));
     }
-
     {
-        const std::vector<std::uint64_t> totals = {8192, 32768};
-        std::vector<SharedPifStudyResult> rs(totals.size());
-        // runSharedPifStudy interleaves its engines itself; keep the
-        // outer loop serial to bound concurrent engine count.
-        for (std::size_t i = 0; i < totals.size(); ++i) {
-            rs[i] = runSharedPifStudy(w, 4, totals[i],
-                                      budget.warmup / 2,
-                                      budget.measure / 2, base);
-        }
         ResultValue t = makeTable(
             "Shared vs private PIF storage (4 cores)",
             {"total_regions", "private_coverage", "shared_coverage",
              "private_miss_ratio", "shared_miss_ratio"});
         ResultValue &rows = *t.find("rows");
         for (std::size_t i = 0; i < totals.size(); ++i) {
+            const SharedPifStudyResult &priv = study[2 * i];
+            const SharedPifStudyResult &shared = study[2 * i + 1];
             ResultValue row = ResultValue::array();
             row.push(totals[i]);
-            row.push(rs[i].privateCoverage);
-            row.push(rs[i].sharedCoverage);
-            row.push(rs[i].privateMissRatio);
-            row.push(rs[i].sharedMissRatio);
+            row.push(priv.coverage);
+            row.push(shared.coverage);
+            row.push(priv.missRatio);
+            row.push(shared.missRatio);
             rows.push(std::move(row));
         }
         tables.push(std::move(t));
     }
-
     {
-        const std::vector<unsigned> degrees = {1, 2, 4, 8};
-        std::vector<TraceRunResult> rs(degrees.size());
-        parallelFor(base.threads, degrees.size(), [&](std::uint64_t i) {
-            SystemConfig cfg = base;
-            cfg.nextLine.degree = degrees[i];
-            TraceEngine engine(
-                cfg, prog, w.executorConfig(),
-                std::make_unique<NextLinePrefetcher>(cfg.nextLine));
-            rs[i] = engine.run(budget.warmup, budget.measure);
-        });
         ResultValue t = makeTable(
             "Next-line degree",
             {"degree", "miss_ratio", "useful_per_fill"});
         ResultValue &rows = *t.find("rows");
         for (std::size_t i = 0; i < degrees.size(); ++i) {
-            const double acc = rs[i].prefetchFills == 0
+            const TraceRunResult &r = nl_rs[i];
+            const double acc = r.prefetchFills == 0
                 ? 0.0
-                : static_cast<double>(rs[i].usefulPrefetches) /
-                  static_cast<double>(rs[i].prefetchFills);
+                : static_cast<double>(r.usefulPrefetches) /
+                  static_cast<double>(r.prefetchFills);
             ResultValue row = ResultValue::array();
             row.push(degrees[i]);
-            row.push(rs[i].missRatio());
+            row.push(r.missRatio());
             row.push(acc);
             rows.push(std::move(row));
         }
@@ -1047,6 +1079,15 @@ goldenSuite()
             e.experiment = "fig10-speedup";
             e.options.workloads = {ServerWorkload::OltpDb2};
             e.options.budget = small;
+            entries.push_back(std::move(e));
+        }
+        // Smaller budget: these are 5 and 27 engine runs on db2, and
+        // the suite also runs under TSan.
+        for (const char *exp : {"fig8-regionsize", "ablation"}) {
+            GoldenEntry e;
+            e.experiment = exp;
+            e.options.workloads = {ServerWorkload::OltpDb2};
+            e.options.budget = ExperimentBudget{40'000, 80'000};
             entries.push_back(std::move(e));
         }
         // Spec-driven runs are locked exactly like the preset ones:

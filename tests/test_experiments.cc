@@ -19,6 +19,8 @@ smallBudget()
     return b;
 }
 
+const WorkloadRef db2 = ServerWorkload::OltpDb2;
+
 TEST(Fig2, CoverageOrderingMatchesPaper)
 {
     // The paper's Figure 2 story: retire-order streams beat access
@@ -84,8 +86,10 @@ TEST(Fig8Left, NeighbourAccessesSkewForward)
 
 TEST(Fig8Right, CoverageGrowsWithRegionSize)
 {
-    const auto points =
-        runFig8Right(ServerWorkload::OltpDb2, smallBudget());
+    const Program prog = db2.buildProgram();
+    std::vector<Fig8RightPoint> points;
+    for (const RegionGeometry &g : fig8Geometries)
+        points.push_back(runFig8Right(db2, prog, smallBudget(), g));
     ASSERT_EQ(points.size(), 5u);
     EXPECT_EQ(points.front().regionBlocks, 1u);
     EXPECT_EQ(points.back().regionBlocks, 8u);
@@ -112,31 +116,26 @@ TEST(Fig9Left, LongStreamsContribute)
 
 TEST(Fig9Right, CoverageGrowsWithHistorySize)
 {
-    const auto points = runFig9Right(
-        ServerWorkload::OltpDb2, smallBudget(), {2048, 32768, 524288});
-    ASSERT_EQ(points.size(), 3u);
+    const Program prog = db2.buildProgram();
+    std::vector<double> coverage;
+    for (std::uint64_t regions : {2048, 32768, 524288})
+        coverage.push_back(runFig9Right(db2, prog, smallBudget(), regions));
     // Monotone within tolerance (Section 5.4).
-    EXPECT_GE(points[1].coverage, points[0].coverage - 0.01);
-    EXPECT_GE(points[2].coverage, points[1].coverage - 0.01);
-    EXPECT_GT(points[2].coverage, 0.7);
+    EXPECT_GE(coverage[1], coverage[0] - 0.01);
+    EXPECT_GE(coverage[2], coverage[1] - 0.01);
+    EXPECT_GT(coverage[2], 0.7);
 }
 
 TEST(Fig10Coverage, PifWinsAndIsNearPerfect)
 {
-    const auto points =
-        runFig10Coverage(ServerWorkload::OltpDb2, smallBudget());
-    ASSERT_EQ(points.size(), 3u);
-    double nl = 0.0;
-    double tifs = 0.0;
-    double pif = 0.0;
-    for (const auto &p : points) {
-        if (p.kind == PrefetcherKind::NextLine)
-            nl = p.missCoverage;
-        if (p.kind == PrefetcherKind::Tifs)
-            tifs = p.missCoverage;
-        if (p.kind == PrefetcherKind::Pif)
-            pif = p.missCoverage;
-    }
+    const Program prog = db2.buildProgram();
+    const auto misses = [&](PrefetcherKind k) {
+        return runFig10Coverage(db2, prog, smallBudget(), k);
+    };
+    const std::uint64_t base = misses(PrefetcherKind::None);
+    const double nl = missCoverage(base, misses(PrefetcherKind::NextLine));
+    const double tifs = missCoverage(base, misses(PrefetcherKind::Tifs));
+    const double pif = missCoverage(base, misses(PrefetcherKind::Pif));
     EXPECT_GT(pif, tifs);
     EXPECT_GT(pif, nl);
     EXPECT_GT(pif, 0.85);       // "nearly perfect coverage"
@@ -146,20 +145,14 @@ TEST(Fig10Coverage, PifWinsAndIsNearPerfect)
 
 TEST(Fig10Speedup, OrderingAndPerfectBound)
 {
-    const auto points =
-        runFig10Speedup(ServerWorkload::OltpDb2, smallBudget());
-    ASSERT_EQ(points.size(), 5u);
-    double none = 0.0;
-    double pif = 0.0;
-    double perfect = 0.0;
-    for (const auto &p : points) {
-        if (p.kind == PrefetcherKind::None)
-            none = p.speedup;
-        if (p.kind == PrefetcherKind::Pif)
-            pif = p.speedup;
-        if (p.kind == PrefetcherKind::Perfect)
-            perfect = p.speedup;
-    }
+    const Program prog = db2.buildProgram();
+    const auto uipc = [&](PrefetcherKind k) {
+        return runFig10Speedup(db2, prog, smallBudget(), k);
+    };
+    const double base = uipc(PrefetcherKind::None);
+    const double none = base / base;
+    const double pif = uipc(PrefetcherKind::Pif) / base;
+    const double perfect = uipc(PrefetcherKind::Perfect) / base;
     EXPECT_DOUBLE_EQ(none, 1.0);
     EXPECT_GT(pif, 1.05);
     EXPECT_GE(perfect, pif - 0.05);

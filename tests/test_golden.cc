@@ -2,9 +2,10 @@
  * @file
  * Golden-snapshot regression suite.
  *
- * Locks the registry's structured output for Fig. 2, Fig. 9 (right)
- * and Fig. 10 (coverage and speedup) at small pinned budgets against
- * committed fixtures (tests/golden/<experiment>.json). The
+ * Locks the registry's structured output for Fig. 2, Fig. 8 (right),
+ * Fig. 9 (right), Fig. 10 (coverage and speedup) and the ablation at
+ * small pinned budgets against committed fixtures
+ * (tests/golden/<experiment>.json). The
  * serialization must be byte-identical to the fixture at worker
  * thread counts 1 and 4 — the determinism contract of the worker
  * pool plus the canonical-JSON contract of common/results.hh.
@@ -80,20 +81,18 @@ expectSameBytes(const std::string &fixture, const std::string &got,
 
 TEST(GoldenSuite, CoversTheIssueExperiments)
 {
-    // The suite must keep locking at least these four documents.
-    bool fig2 = false;
-    bool fig9 = false;
-    bool cov = false;
-    bool speed = false;
+    // The suite must keep locking at least these six documents.
+    std::set<std::string> locked;
     for (const GoldenEntry &e : goldenSuite()) {
-        fig2 |= goldenFixtureName(e) == "fig2-streams";
-        fig9 |= goldenFixtureName(e) == "fig9-history";
-        cov |= goldenFixtureName(e) == "fig10-coverage";
-        speed |= goldenFixtureName(e) == "fig10-speedup";
+        locked.insert(goldenFixtureName(e));
         ASSERT_NE(findExperiment(e.experiment), nullptr)
             << e.experiment;
     }
-    EXPECT_TRUE(fig2 && fig9 && cov && speed);
+    for (const char *name : {"fig2-streams", "fig8-regionsize",
+                             "fig9-history", "fig10-coverage",
+                             "fig10-speedup", "ablation"}) {
+        EXPECT_EQ(locked.count(name), 1u) << name;
+    }
 }
 
 TEST(GoldenSuite, CoversTheWorkloadZoo)

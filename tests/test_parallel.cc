@@ -35,8 +35,10 @@ TEST(Parallel, EnvOverrideWins)
     EXPECT_EQ(resolveThreads(0), 5u);
     EXPECT_EQ(resolveThreads(2), 2u);  // explicit request still wins
 
-    ASSERT_EQ(setenv("PIFETCH_THREADS", "garbage", 1), 0);
-    EXPECT_EQ(defaultThreads(), 1u);  // malformed pins serial
+    for (const char *malformed : {"garbage", "4abc", "2.5"}) {
+        ASSERT_EQ(setenv("PIFETCH_THREADS", malformed, 1), 0);
+        EXPECT_EQ(defaultThreads(), 1u) << malformed;  // pins serial
+    }
 
     ASSERT_EQ(unsetenv("PIFETCH_THREADS"), 0);
     EXPECT_GE(defaultThreads(), 1u);

@@ -100,11 +100,17 @@ TEST(SharedPifStudy, SharedBeatsEqualAggregatePrivate)
     // With 4 cores running the same binary, one shared 8K-region pool
     // must outperform four private 2K pools: streams recorded by any
     // core serve all of them.
-    const SharedPifStudyResult r = runSharedPifStudy(
-        ServerWorkload::OltpDb2, 4, 8 * 1024, 200'000, 300'000);
-    EXPECT_GT(r.privateMissRatio, 0.0);
-    EXPECT_GT(r.sharedCoverage, r.privateCoverage - 0.02);
-    EXPECT_LT(r.sharedMissRatio, r.privateMissRatio * 1.05);
+    const WorkloadRef db2 = ServerWorkload::OltpDb2;
+    const Program prog = db2.buildProgram();
+    const auto arm = [&](bool shared) {
+        return runSharedPifStudy(db2, prog, 4, 8 * 1024, shared, 200'000,
+                                 300'000);
+    };
+    const SharedPifStudyResult priv = arm(false);
+    const SharedPifStudyResult shared = arm(true);
+    EXPECT_GT(priv.missRatio, 0.0);
+    EXPECT_GT(shared.coverage, priv.coverage - 0.02);
+    EXPECT_LT(shared.missRatio, priv.missRatio * 1.05);
 }
 
 } // namespace
