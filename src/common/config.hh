@@ -14,6 +14,7 @@
 #include <optional>
 #include <ostream>
 #include <string>
+#include <tuple>
 
 #include "common/types.hh"
 
@@ -34,6 +35,15 @@ struct CacheConfig
     {
         return sizeBytes / (static_cast<std::uint64_t>(assoc) * blockBytes);
     }
+
+    /** Field-wise equality (the tie lists every field). */
+    auto
+    tied() const
+    {
+        return std::tie(name, sizeBytes, assoc, blockBytes, hitLatency,
+                        mshrs);
+    }
+    bool operator==(const CacheConfig &o) const { return tied() == o.tied(); }
 };
 
 /** Hybrid branch predictor sizing (Table I: 16K gshare + 16K bimodal). */
@@ -46,6 +56,18 @@ struct BranchConfig
     unsigned btbEntries = 4 * 1024;
     unsigned btbAssoc = 4;
     unsigned rasEntries = 32;
+
+    /** Field-wise equality (the tie lists every field). */
+    auto
+    tied() const
+    {
+        return std::tie(gshareEntries, bimodalEntries, chooserEntries,
+                        historyBits, btbEntries, btbAssoc, rasEntries);
+    }
+    bool operator==(const BranchConfig &o) const
+    {
+        return tied() == o.tied();
+    }
 };
 
 /** Out-of-order core parameters (Table I). */
@@ -72,6 +94,17 @@ struct CoreConfig
      */
     double dataStallFraction = 0.02;
     Cycle dataStallCycles = 40;
+
+    /** Field-wise equality (the tie lists every field). */
+    auto
+    tied() const
+    {
+        return std::tie(dispatchWidth, retireWidth, robEntries,
+                        fetchQueueEntries, frontendDepth,
+                        minResolveCycles, maxResolveCycles,
+                        dataStallFraction, dataStallCycles);
+    }
+    bool operator==(const CoreConfig &o) const { return tied() == o.tied(); }
 };
 
 /** Shared L2 and main memory timing (Table I: NUCA L2, 45ns memory). */
@@ -88,6 +121,18 @@ struct MemoryConfig
      * bank distance into access latency the same way).
      */
     Cycle interconnectLatency = 10;
+
+    /** Field-wise equality (the tie lists every field). */
+    auto
+    tied() const
+    {
+        return std::tie(l2SizeBytes, l2Assoc, l2HitLatency, l2Mshrs,
+                        memLatency, interconnectLatency);
+    }
+    bool operator==(const MemoryConfig &o) const
+    {
+        return tied() == o.tied();
+    }
 };
 
 /** Proactive Instruction Fetch parameters (Sections 4 and 5). */
@@ -105,6 +150,16 @@ struct PifConfig
 
     /** Total blocks covered by one spatial region record. */
     unsigned regionBlocks() const { return blocksBefore + 1 + blocksAfter; }
+
+    /** Field-wise equality (the tie lists every field). */
+    auto
+    tied() const
+    {
+        return std::tie(blocksBefore, blocksAfter, temporalEntries,
+                        historyRegions, indexEntries, indexAssoc,
+                        numSabs, sabWindowRegions, separateTrapLevels);
+    }
+    bool operator==(const PifConfig &o) const { return tied() == o.tied(); }
 };
 
 /** TIFS baseline parameters (miss-stream temporal streaming). */
@@ -116,12 +171,32 @@ struct TifsConfig
     unsigned numSabs = 4;
     unsigned sabWindowBlocks = 12;
     bool unbounded = false;  //!< Fig. 10 uses no storage limitation
+
+    /** Field-wise equality (the tie lists every field). */
+    auto
+    tied() const
+    {
+        return std::tie(historyEntries, indexEntries, indexAssoc,
+                        numSabs, sabWindowBlocks, unbounded);
+    }
+    bool operator==(const TifsConfig &o) const { return tied() == o.tied(); }
 };
 
 /** Next-line prefetcher parameters. */
 struct NextLineConfig
 {
     unsigned degree = 4;  //!< blocks prefetched past the accessed block
+
+    /** Field-wise equality (the tie lists every field). */
+    auto
+    tied() const
+    {
+        return std::tie(degree);
+    }
+    bool operator==(const NextLineConfig &o) const
+    {
+        return tied() == o.tied();
+    }
 };
 
 /** Interrupt (trap) injection parameters for the workload executor. */
@@ -129,6 +204,14 @@ struct TrapConfig
 {
     double perInstrProbability = 2e-5;  //!< spontaneous interrupt rate
     unsigned handlerCount = 12;         //!< distinct handler routines
+
+    /** Field-wise equality (the tie lists every field). */
+    auto
+    tied() const
+    {
+        return std::tie(perInstrProbability, handlerCount);
+    }
+    bool operator==(const TrapConfig &o) const { return tied() == o.tied(); }
 };
 
 /** Complete single-core system configuration. */
@@ -152,6 +235,18 @@ struct SystemConfig
      * wall-clock knob.
      */
     unsigned threads = 0;
+
+    /** Field-wise equality (the tie lists every field). */
+    auto
+    tied() const
+    {
+        return std::tie(l1i, l1d, branch, core, memory, pif, tifs,
+                        nextLine, trap, numCores, seed, threads);
+    }
+    bool operator==(const SystemConfig &o) const
+    {
+        return tied() == o.tied();
+    }
 };
 
 /** Print a human-readable rendition of Table I for this config. */

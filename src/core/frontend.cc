@@ -7,10 +7,8 @@
 
 namespace pifetch {
 
-Frontend::Frontend(const SystemConfig &cfg, Cache &l1i, std::uint64_t seed)
+FrontStage::FrontStage(const SystemConfig &cfg, std::uint64_t seed)
     : coreCfg_(cfg.core),
-      l1i_(l1i),
-      lineBuffer_(2),
       direction_(cfg.branch),
       btb_(cfg.branch),
       ras_(cfg.branch.rasEntries),
@@ -18,46 +16,8 @@ Frontend::Frontend(const SystemConfig &cfg, Cache &l1i, std::uint64_t seed)
 {
 }
 
-FetchAccess
-Frontend::fetchBlock(Addr block, bool correct_path, TrapLevel tl,
-                     std::vector<FetchAccess> &events)
-{
-    FetchAccess ev;
-    ev.block = block;
-    ev.correctPath = correct_path;
-    ev.trapLevel = tl;
-
-    if (lineBuffer_.contains(block)) {
-        ev.hit = true;
-        ev.wasPrefetched = false;
-    } else {
-        const Cache::AccessResult res = l1i_.access(block);
-        ev.hit = res.hit;
-        ev.wasPrefetched = res.firstDemandOfPrefetch;
-        if (!res.hit) {
-            // Functional fill: latency accounting is engine-side.
-            // Wrong-path misses fill too, exactly as in a real machine
-            // (they are the pollution/filtering source of Section 2).
-            l1i_.fill(block, false);
-        }
-        lineBuffer_.insert(block);
-    }
-
-    if (correct_path) {
-        ++correctPathFetches_;
-        if (!ev.hit)
-            ++correctPathMisses_;
-    } else {
-        ++wrongPathFetches_;
-    }
-
-    events.push_back(ev);
-    return ev;
-}
-
 void
-Frontend::injectWrongPath(Addr start_pc, TrapLevel tl,
-                          std::vector<FetchAccess> &events)
+FrontStage::wrongPath(Addr start_pc, FrontStep &s)
 {
     // Data-dependent resolution delay (Section 2.2): the longer the
     // mispredicted branch takes to resolve, the more wrong-path blocks
@@ -73,14 +33,13 @@ Frontend::injectWrongPath(Addr start_pc, TrapLevel tl,
     const Addr first_block = blockAddr(start_pc);
     const Addr last_byte =
         start_pc + (wrong_instrs > 0 ? wrong_instrs - 1 : 0) * instrBytes;
-    const Addr last_block = blockAddr(last_byte);
-
-    for (Addr b = first_block; b <= last_block; ++b)
-        fetchBlock(b, false, tl, events);
+    s.wrongBlock = first_block;
+    s.wrongBlocks =
+        static_cast<std::uint32_t>(blockAddr(last_byte) - first_block + 1);
 }
 
 bool
-Frontend::predictTransfer(const RetiredInstr &instr, Addr &wrong_path_pc)
+FrontStage::predictTransfer(const RetiredInstr &instr, Addr &wrong_path_pc)
 {
     const Addr fallthrough = instr.pc + instrBytes;
 
@@ -142,9 +101,13 @@ Frontend::predictTransfer(const RetiredInstr &instr, Addr &wrong_path_pc)
     return true;
 }
 
-bool
-Frontend::step(const RetiredInstr &instr, std::vector<FetchAccess> &events)
+FrontStep
+FrontStage::step(const RetiredInstr &instr)
 {
+    FrontStep s;
+    s.pc = instr.pc;
+    s.trapLevel = instr.trapLevel;
+
     // Asynchronous trap-level change: the pipeline is flushed and fetch
     // restarts at the new location, refetching its block.
     if (instr.trapLevel != prevTl_)
@@ -152,15 +115,9 @@ Frontend::step(const RetiredInstr &instr, std::vector<FetchAccess> &events)
 
     const Addr block = blockAddr(instr.pc);
     if (block != curBlock_) {
-        const FetchAccess ev = fetchBlock(block, true, instr.trapLevel,
-                                          events);
+        s.fetch = true;
         curBlock_ = block;
-        // Tagged = not delivered from an explicitly prefetched line
-        // (Section 4.2). The tag is sticky for all instructions
-        // delivered from this block fetch.
-        curBlockTagged_ = !(ev.hit && ev.wasPrefetched);
     }
-    const bool tagged = curBlockTagged_;
 
     switch (instr.kind) {
       case InstrKind::CondBranch:
@@ -170,8 +127,7 @@ Frontend::step(const RetiredInstr &instr, std::vector<FetchAccess> &events)
         ++predictions_;
         Addr wrong_pc = invalidAddr;
         if (!predictTransfer(instr, wrong_pc)) {
-            ++mispredicts_;
-            injectWrongPath(wrong_pc, instr.trapLevel, events);
+            wrongPath(wrong_pc, s);
             // After the squash, fetch refetches the resume block.
             curBlock_ = invalidAddr;
         }
@@ -187,20 +143,116 @@ Frontend::step(const RetiredInstr &instr, std::vector<FetchAccess> &events)
     }
 
     prevTl_ = instr.trapLevel;
+    return s;
+}
+
+void
+FrontStage::stepBatch(const RecordBatch &batch, std::vector<FrontStep> &out)
+{
+    out.clear();
+    for (std::uint32_t i = 0; i < batch.size;) {
+        FrontStep s = step(batch.get(i));
+        // While the step leaves its own block current, every following
+        // record that continues a same-block plain run (plainCont) is
+        // a no-op; a squash or redirect ends the run at the step.
+        std::uint32_t j = i + 1;
+        if (curBlock_ == batch.block[i]) {
+            while (j < batch.size && batch.plainCont[j])
+                ++j;
+        }
+        s.sameBlock = j - i - 1;
+        out.push_back(s);
+        i = j;
+    }
+}
+
+void
+FrontStage::reset()
+{
+    direction_.reset();
+    btb_.reset();
+    ras_.reset();
+    curBlock_ = invalidAddr;
+    prevTl_ = 0;
+    predictions_ = 0;
+}
+
+Frontend::Frontend(const SystemConfig &cfg, Cache &l1i, std::uint64_t seed)
+    : front_(cfg, seed), l1i_(l1i), lineBuffer_(2)
+{
+}
+
+FetchAccess
+Frontend::fetchBlock(Addr block, bool correct_path, TrapLevel tl,
+                     std::vector<FetchAccess> &events)
+{
+    FetchAccess ev;
+    ev.block = block;
+    ev.correctPath = correct_path;
+    ev.trapLevel = tl;
+
+    if (lineBuffer_.contains(block)) {
+        ev.hit = true;
+        ev.wasPrefetched = false;
+    } else {
+        const Cache::AccessResult res = l1i_.access(block);
+        ev.hit = res.hit;
+        ev.wasPrefetched = res.firstDemandOfPrefetch;
+        if (!res.hit) {
+            // Functional fill: latency accounting is engine-side.
+            // Wrong-path misses fill too, exactly as in a real machine
+            // (they are the pollution/filtering source of Section 2).
+            l1i_.fill(block, false);
+        }
+        lineBuffer_.insert(block);
+    }
+
+    if (correct_path) {
+        ++correctPathFetches_;
+        if (!ev.hit)
+            ++correctPathMisses_;
+    } else {
+        ++wrongPathFetches_;
+    }
+
+    events.push_back(ev);
+    return ev;
+}
+
+bool
+Frontend::fetchStep(const FrontStep &s, std::vector<FetchAccess> &events)
+{
+    if (s.fetch) {
+        const FetchAccess ev =
+            fetchBlock(blockAddr(s.pc), true, s.trapLevel, events);
+        // Tagged = not delivered from an explicitly prefetched line
+        // (Section 4.2). The tag is sticky for all instructions
+        // delivered from this block fetch.
+        curBlockTagged_ = !(ev.hit && ev.wasPrefetched);
+    }
+    const bool tagged = curBlockTagged_;
+
+    if (s.wrongBlocks > 0) {
+        ++mispredicts_;
+        const Addr end = s.wrongBlock + s.wrongBlocks;
+        for (Addr b = s.wrongBlock; b < end; ++b)
+            fetchBlock(b, false, s.trapLevel, events);
+    }
     return tagged;
+}
+
+bool
+Frontend::step(const RetiredInstr &instr, std::vector<FetchAccess> &events)
+{
+    return fetchStep(front_.step(instr), events);
 }
 
 void
 Frontend::reset()
 {
+    front_.reset();
     lineBuffer_.clear();
-    direction_.reset();
-    btb_.reset();
-    ras_.reset();
-    curBlock_ = invalidAddr;
     curBlockTagged_ = true;
-    prevTl_ = 0;
-    predictions_ = 0;
     mispredicts_ = 0;
     wrongPathFetches_ = 0;
     correctPathFetches_ = 0;

@@ -62,7 +62,10 @@ class Prefetcher
     /**
      * An instruction retired.
      *
-     * @param instr The retired instruction record.
+     * @param instr The retired instruction record. The engines fill in
+     *        only its pc and trap level: their back stage replays
+     *        front-end steps (core/frontend.hh), which carry nothing
+     *        else of the record.
      * @param tagged True if the instruction was NOT delivered from an
      *        explicitly prefetched block (Section 4.2's fetch-stage tag);
      *        PIF gates index-table insertion on this.

@@ -5,6 +5,8 @@
 
 #include "sim/cycle_engine.hh"
 
+#include <stdexcept>
+
 #include "sim/prefetcher_dispatch.hh"
 
 namespace pifetch {
@@ -14,22 +16,48 @@ namespace {
 constexpr unsigned drainPerStep = 4;
 } // namespace
 
-CycleEngine::CycleEngine(const SystemConfig &cfg, const Program &prog,
-                         const ExecutorConfig &exec_cfg,
-                         PrefetcherKind kind)
+CycleEngine::CycleEngine(const SystemConfig &cfg, PrefetcherKind kind)
     : cfg_(cfg),
       kind_(kind),
-      exec_(prog, exec_cfg),
       l1i_(cfg.l1i, ReplacementKind::LRU, cfg.seed),
-      frontend_(cfg, l1i_, cfg.seed ^ 0xfe7c4),
+      frontend_(cfg, l1i_, frontendSeed(cfg)),
       hierarchy_(cfg.memory),
       prefetcher_(makePrefetcher(kind, cfg)),
       timing_(cfg.core, cfg.seed ^ 0x7131)
 {
     batch_.reserve(batchLen_);
-    events_.reserve(4096);
+    steps_.reserve(batchLen_);
+    events_.reserve(64);
     drain_.reserve(drainPerStep);
     pending_.reserve(cfg.l1i.mshrs * 2);
+}
+
+CycleEngine::CycleEngine(const SystemConfig &cfg, const Program &prog,
+                         const ExecutorConfig &exec_cfg,
+                         PrefetcherKind kind)
+    : CycleEngine(cfg, kind)
+{
+    exec_.emplace(prog, exec_cfg);
+}
+
+CycleEngine::CycleEngine(const SystemConfig &cfg, const FrontRecording &rec,
+                         PrefetcherKind kind)
+    : CycleEngine(cfg, kind)
+{
+    if (!rec.replayableWith(cfg))
+        throw std::invalid_argument(
+            "CycleEngine: recording made under another front-end "
+            "configuration");
+    replay_.emplace(rec);
+}
+
+void
+CycleEngine::attachObservers(const ObserverConfig &obs)
+{
+    if (replay_)
+        throw std::logic_error(
+            "CycleEngine: observers need the live front end");
+    observers_.configure(obs);
 }
 
 void
@@ -57,54 +85,44 @@ CycleEngine::processReadyFills()
 
 template <typename P>
 void
-CycleEngine::stepBatch(P &prefetcher, const RecordBatch &batch,
-                       bool measuring)
+CycleEngine::issuePrefetches(P &prefetcher)
 {
-    const bool observing = observers_.active();
-    const bool perfect = kind_ == PrefetcherKind::Perfect;
-    events_.clear();
-    std::size_t ev0 = 0;
+    drain_.clear();
+    prefetcher.drainRequests(drain_, drainPerStep);
+    for (Addr b : drain_) {
+        if (l1i_.probe(b) || pending_.count(b))
+            continue;
+        if (pending_.size() >= cfg_.l1i.mshrs)
+            break;  // MSHRs full: drop (back-pressure)
+        const Cycle lat = hierarchy_.request(b);
+        pending_.emplace(b, timing_.cycles() + lat);
+    }
+}
 
-    for (std::uint32_t i = 0; i < batch.size; ++i) {
+template <typename P>
+void
+CycleEngine::backStage(P &prefetcher, bool measuring,
+                       const RecordBatch *observed)
+{
+    const bool perfect = kind_ == PrefetcherKind::Perfect;
+    std::uint32_t at = 0;  // batch index of the next observed record
+
+    for (const FrontStep &s : steps_) {
         // Fill timing is per-instruction: a completing prefetch changes
         // what this very fetch hits, so ready fills install before the
-        // front-end step — exactly as in the scalar loop.
+        // step's fetches.
         processReadyFills();
 
-        const RetiredInstr instr = batch.get(i);
-        const Addr block = batch.block[i];
+        events_.clear();
+        const bool tagged = frontend_.fetchStep(s, events_);
+        if (observed)
+            observers_.observeStep(observed->get(at++), events_.data(),
+                                   events_.size(), *exec_, frontend_,
+                                   l1i_);
 
-        bool tagged;
-        if (frontend_.stepIsNoop(block, instr.kind, instr.trapLevel)) {
-            tagged = frontend_.currentBlockTagged();
-        } else {
-            tagged = frontend_.step(instr, events_);
-        }
-
-        const std::size_t nev = events_.size() - ev0;
-        const FetchAccess *evs = events_.data() + ev0;
-
-        if (observing) {
-            // Executor-side counters advance at batch-decode
-            // granularity, so a mid-batch counter sample must not read
-            // them: re-derive the interrupt count per instruction from
-            // the record stream itself (a TL0 -> TL1 transition is
-            // exactly one delivery), keeping samples identical at any
-            // batch length.
-            obsInterrupts_ += static_cast<std::uint64_t>(
-                instr.trapLevel != 0 && obsPrevTl_ == 0);
-            obsPrevTl_ = instr.trapLevel;
-            observers_.observeStep(instr, evs, nev, [&] {
-                RunCounters live = liveRunCounters(exec_, frontend_);
-                live.interrupts = obsInterrupts_;
-                return counterSnapshotOf(live, l1i_.prefetchFills());
-            });
-        }
-
-        for (std::size_t e = 0; e < nev; ++e) {
-            const FetchAccess &ev = evs[e];
+        for (const FetchAccess &ev : events_) {
             if (ev.correctPath && !ev.hit && !perfect) {
-                // Demand miss: the front-end already performed the
+                // Demand miss: the fetch stage already performed the
                 // functional fill; charge the timing.
                 auto it = pending_.find(ev.block);
                 Cycle stall;
@@ -125,7 +143,7 @@ CycleEngine::stepBatch(P &prefetcher, const RecordBatch &batch,
 
             FetchInfo info;
             info.block = ev.block;
-            info.pc = ev.correctPath ? instr.pc : blockBase(ev.block);
+            info.pc = ev.correctPath ? s.pc : blockBase(ev.block);
             info.hit = ev.hit;
             info.wasPrefetched = ev.wasPrefetched;
             info.correctPath = ev.correctPath;
@@ -133,28 +151,29 @@ CycleEngine::stepBatch(P &prefetcher, const RecordBatch &batch,
             prefetcher.onFetchAccess(info);
         }
 
-        // Branch misprediction penalty: one per mispredict this step.
-        const std::uint64_t misp = frontend_.mispredicts();
-        for (std::uint64_t m = lastMispredicts_; m < misp; ++m)
+        // Branch misprediction penalty: a burst marks the mispredict.
+        if (s.wrongBlocks > 0)
             timing_.mispredict();
-        lastMispredicts_ = misp;
 
-        prefetcher.onRetire(instr, tagged);
-        timing_.instruction(instr.trapLevel);
+        // The retire hooks read the pc and trap level only.
+        RetiredInstr retired;
+        retired.pc = s.pc;
+        retired.trapLevel = s.trapLevel;
+        prefetcher.onRetire(retired, tagged);
+        timing_.instruction(s.trapLevel);
+        issuePrefetches(prefetcher);
 
-        // Issue prefetches into the hierarchy, MSHR-limited.
-        drain_.clear();
-        prefetcher.drainRequests(drain_, drainPerStep);
-        for (Addr b : drain_) {
-            if (l1i_.probe(b) || pending_.count(b))
-                continue;
-            if (pending_.size() >= cfg_.l1i.mshrs)
-                break;  // MSHRs full: drop (back-pressure)
-            const Cycle lat = hierarchy_.request(b);
-            pending_.emplace(b, timing_.cycles() + lat);
+        // The same-block run: no fetches, but fills, retire, timing
+        // and issue stay per instruction.
+        for (std::uint32_t k = 0; k < s.sameBlock; ++k) {
+            processReadyFills();
+            if (observed)
+                observers_.observeStep(observed->get(at++), nullptr, 0,
+                                       *exec_, frontend_, l1i_);
+            prefetcher.onRetireSameBlockRun(s.trapLevel, 1);
+            timing_.instruction(s.trapLevel);
+            issuePrefetches(prefetcher);
         }
-
-        ev0 = events_.size();
     }
 }
 
@@ -162,14 +181,22 @@ template <typename P>
 void
 CycleEngine::advanceWith(P &prefetcher, InstCount n, bool measuring)
 {
+    const bool observing = observers_.active();
     while (n > 0) {
         const std::uint32_t want =
             n < batchLen_ ? static_cast<std::uint32_t>(n) : batchLen_;
-        exec_.nextBatch(batch_, want);
-        if (batch_.size == 0)
+        InstCount got = 0;
+        if (replay_) {
+            got = replay_->next(steps_, want);
+        } else {
+            exec_->nextBatch(batch_, want);
+            frontend_.front().stepBatch(batch_, steps_);
+            got = batch_.size;
+        }
+        if (got == 0)
             break;
-        stepBatch(prefetcher, batch_, measuring);
-        n -= batch_.size;
+        backStage(prefetcher, measuring, observing ? &batch_ : nullptr);
+        n -= got;
     }
 }
 
@@ -179,6 +206,13 @@ CycleEngine::advance(InstCount n, bool measuring)
     withConcretePrefetcher(*prefetcher_, [&](auto &p) {
         advanceWith(p, n, measuring);
     });
+}
+
+RunCounters
+CycleEngine::counters() const
+{
+    return replay_ ? replay_->counters(frontend_)
+                   : liveRunCounters(*exec_, frontend_);
 }
 
 CycleRunResult
@@ -201,12 +235,12 @@ CycleEngine::run(InstCount warmup, InstCount measure)
     prefetchFills_ = 0;
     const std::uint64_t l2h0 = hierarchy_.l2Hits();
     const std::uint64_t l2m0 = hierarchy_.l2Misses();
-    const RunCounters base = liveRunCounters(exec_, frontend_);
+    const RunCounters base = counters();
 
     advance(measure, true);
 
     CycleRunResult res;
-    static_cast<RunCounters &>(res) = liveRunCounters(exec_, frontend_);
+    static_cast<RunCounters &>(res) = counters();
     res.subtractBase(base);
     res.cycles = timing_.cycles();
     res.instrs = timing_.instructions();

@@ -10,15 +10,19 @@
  * perfect-latency cache).
  *
  * The instruction stream is decoded a structure-of-arrays RecordBatch
- * at a time (trace/record.hh), like TraceEngine; the timed stages
- * (ready-fill installation, stall charging, MSHR-limited issue) stay
- * strictly per-instruction, so cycle counts are bit-identical at any
- * batch length.
+ * at a time (trace/record.hh) and split into the same two stages as
+ * TraceEngine: the front stage emits FrontStep records, and the back
+ * stage installs ready fills, performs the fetches, charges stalls,
+ * runs the prefetcher hooks and the timing model, and issues prefetches
+ * to the MSHRs. The timed steps stay strictly per-instruction, so cycle
+ * counts are bit-identical at any batch length. An engine built from a
+ * FrontRecording runs only the back stage.
  */
 
 #pragma once
 
 #include <memory>
+#include <optional>
 #include <unordered_map>
 
 #include "cache/cache.hh"
@@ -27,6 +31,7 @@
 #include "common/config.hh"
 #include "core/cycle_core.hh"
 #include "core/frontend.hh"
+#include "sim/front_recording.hh"
 #include "sim/observer.hh"
 #include "sim/run_counters.hh"
 #include "sim/system_config.hh"
@@ -70,6 +75,13 @@ class CycleEngine
     CycleEngine(const SystemConfig &cfg, const Program &prog,
                 const ExecutorConfig &exec_cfg, PrefetcherKind kind);
 
+    /**
+     * Replay @p rec through the back stage only (same contract as the
+     * TraceEngine recording constructor).
+     */
+    CycleEngine(const SystemConfig &cfg, const FrontRecording &rec,
+                PrefetcherKind kind);
+
     /** Warm up, then measure. */
     CycleRunResult run(InstCount warmup, InstCount measure);
 
@@ -77,7 +89,8 @@ class CycleEngine
     Cache &l1i() { return l1i_; }
     MemoryHierarchy &hierarchy() { return hierarchy_; }
     Frontend &frontend() { return frontend_; }
-    Executor &executor() { return exec_; }
+    /** The executor (live engines only). */
+    Executor &executor() { return *exec_; }
 
     /**
      * Configure observation: stream digests and/or event-store
@@ -86,10 +99,7 @@ class CycleEngine
      * stores are directly comparable). Off by default — no hot-path
      * overhead.
      */
-    void attachObservers(const ObserverConfig &obs)
-    {
-        observers_.configure(obs);
-    }
+    void attachObservers(const ObserverConfig &obs);
 
     /** Retired-instruction stream digest (0 until digests enabled). */
     std::uint64_t retireDigest() const
@@ -109,9 +119,13 @@ class CycleEngine
     {
         batchLen_ = len == 0 ? 1 : len;
         batch_.reserve(batchLen_);
+        steps_.reserve(batchLen_);
     }
 
   private:
+    /** Everything but the instruction source. */
+    CycleEngine(const SystemConfig &cfg, PrefetcherKind kind);
+
     /**
      * Execute @p n instructions, dispatched once on the concrete
      * prefetcher type so the per-instruction hooks devirtualize
@@ -123,17 +137,29 @@ class CycleEngine
     template <typename P>
     void advanceWith(P &prefetcher, InstCount n, bool measuring);
 
-    /** Run one decoded batch through the timed per-instruction stages. */
+    /**
+     * The back stage over steps_ (see TraceEngine::backStage for
+     * @p observed).
+     */
     template <typename P>
-    void stepBatch(P &prefetcher, const RecordBatch &batch,
-                   bool measuring);
+    void backStage(P &prefetcher, bool measuring,
+                   const RecordBatch *observed);
+
+    /** Issue one instruction's prefetch candidates, MSHR-limited. */
+    template <typename P>
+    void issuePrefetches(P &prefetcher);
 
     /** Install prefetch fills whose latency has elapsed. */
     void processReadyFills();
 
+    /** Cumulative timing-independent counters. */
+    RunCounters counters() const;
+
     SystemConfig cfg_;
     PrefetcherKind kind_;
-    Executor exec_;
+    /** Live: the executor; replay: the recording's reader. */
+    std::optional<Executor> exec_;
+    std::optional<FrontRecording::Reader> replay_;
     Cache l1i_;
     Frontend frontend_;
     MemoryHierarchy hierarchy_;
@@ -145,23 +171,16 @@ class CycleEngine
 
     RecordBatch batch_;
     std::uint32_t batchLen_ = recordBatchLen;
+    std::vector<FrontStep> steps_;
     std::vector<FetchAccess> events_;
     std::vector<Addr> drain_;
 
     std::uint64_t demandMisses_ = 0;
     std::uint64_t latePrefetches_ = 0;
     std::uint64_t prefetchFills_ = 0;
-    std::uint64_t lastMispredicts_ = 0;
 
     /** Digests + event recording (opt-in; detached by default). */
     EngineObservers observers_;
-    /**
-     * Per-instruction interrupt count for windowed counter samples,
-     * tracked from trap-level transitions while observing (the
-     * executor's own counter advances a whole decoded batch early).
-     */
-    std::uint64_t obsInterrupts_ = 0;
-    std::uint8_t obsPrevTl_ = 0;
 };
 
 } // namespace pifetch

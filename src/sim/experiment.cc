@@ -40,7 +40,7 @@ runFig2(const WorkloadRef &w, const ExperimentBudget &budget,
     const Program prog = w.buildProgram();
     Executor exec(prog, w.executorConfig());
     Cache l1i(cfg.l1i, ReplacementKind::LRU, cfg.seed);
-    Frontend frontend(cfg, l1i, cfg.seed ^ 0xfe7c4);
+    Frontend frontend(cfg, l1i, frontendSeed(cfg));
 
     TemporalStreamPredictor miss_pred(studyPredictorConfig());
     TemporalStreamPredictor access_pred(studyPredictorConfig());
@@ -176,9 +176,17 @@ runFig8Left(const WorkloadRef &w, InstCount instrs)
     return analyzer.offsets();
 }
 
+FrontRecording
+recordWorkload(const WorkloadRef &w, const ExperimentBudget &budget,
+               const SystemConfig &cfg)
+{
+    const Program prog = w.buildProgram();
+    return FrontRecording(cfg, prog, w.executorConfig(), budget.warmup,
+                          budget.measure);
+}
+
 Fig8RightPoint
-runFig8Right(const WorkloadRef &w, const Program &prog,
-             const ExperimentBudget &budget, const RegionGeometry &g,
+runFig8Right(const FrontRecording &rec, const RegionGeometry &g,
              const SystemConfig &cfg)
 {
     SystemConfig c = cfg;
@@ -186,8 +194,8 @@ runFig8Right(const WorkloadRef &w, const Program &prog,
     c.pif.blocksAfter = g.after;
     auto pif = std::make_unique<PifPrefetcher>(c.pif, false);
     PifPrefetcher *pif_raw = pif.get();
-    TraceEngine engine(c, prog, w.executorConfig(), std::move(pif));
-    engine.run(budget.warmup, budget.measure);
+    TraceEngine engine(c, rec, std::move(pif));
+    engine.run(rec.warmup(), rec.measure());
 
     Fig8RightPoint p;
     p.regionBlocks = g.total;
@@ -220,28 +228,25 @@ runFig9Left(const WorkloadRef &w, InstCount instrs)
 }
 
 double
-runFig9Right(const WorkloadRef &w, const Program &prog,
-             const ExperimentBudget &budget, std::uint64_t history_regions,
+runFig9Right(const FrontRecording &rec, std::uint64_t history_regions,
              const SystemConfig &cfg)
 {
     SystemConfig c = cfg;
     c.pif.historyRegions = history_regions;
     auto pif = std::make_unique<PifPrefetcher>(c.pif, false);
     PifPrefetcher *pif_raw = pif.get();
-    TraceEngine engine(c, prog, w.executorConfig(), std::move(pif));
-    engine.run(budget.warmup, budget.measure);
+    TraceEngine engine(c, rec, std::move(pif));
+    engine.run(rec.warmup(), rec.measure());
     return pif_raw->coverage();
 }
 
 std::uint64_t
-runFig10Coverage(const WorkloadRef &w, const Program &prog,
-                 const ExperimentBudget &budget, PrefetcherKind kind,
+runFig10Coverage(const FrontRecording &rec, PrefetcherKind kind,
                  const SystemConfig &cfg)
 {
     // Section 5.5 compares without storage limitations.
-    TraceEngine engine(cfg, prog, w.executorConfig(),
-                       makePrefetcher(kind, cfg, true));
-    return engine.run(budget.warmup, budget.measure).misses;
+    TraceEngine engine(cfg, rec, makePrefetcher(kind, cfg, true));
+    return engine.run(rec.warmup(), rec.measure()).misses;
 }
 
 double
@@ -254,12 +259,11 @@ missCoverage(std::uint64_t baseline, std::uint64_t remaining)
 }
 
 double
-runFig10Speedup(const WorkloadRef &w, const Program &prog,
-                const ExperimentBudget &budget, PrefetcherKind kind,
+runFig10Speedup(const FrontRecording &rec, PrefetcherKind kind,
                 const SystemConfig &cfg)
 {
-    CycleEngine engine(cfg, prog, w.executorConfig(), kind);
-    return engine.run(budget.warmup, budget.measure).uipc;
+    CycleEngine engine(cfg, rec, kind);
+    return engine.run(rec.warmup(), rec.measure()).uipc;
 }
 
 } // namespace pifetch

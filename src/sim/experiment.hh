@@ -5,9 +5,10 @@
  * One function per table/figure of the paper's evaluation; the
  * experiment registry (sim/registry.hh) calls these and tabulates the
  * rows. The swept figures (8 and 9 right, 10) run one configuration
- * per call, so the registry can run every workload x configuration
- * of a figure as one flat task list. Tests call them with small
- * instruction budgets to check invariants cheaply.
+ * per call on a workload's FrontRecording, so the registry records
+ * each workload's front end once and runs every workload x
+ * configuration of a figure as one flat task list. Tests call them
+ * with small instruction budgets to check invariants cheaply.
  */
 
 #pragma once
@@ -16,6 +17,7 @@
 
 #include "common/config.hh"
 #include "common/histogram.hh"
+#include "sim/front_recording.hh"
 #include "sim/system_config.hh"
 #include "sim/trace_engine.hh"
 #include "sim/workloads.hh"
@@ -84,14 +86,23 @@ inline constexpr RegionGeometry fig8Geometries[] = {
 };
 
 /**
- * Run Figure 8 (right) at one geometry on @p prog, the caller-built
- * program of @p w. The experiment grids in sim/registry.cc share one
- * read-only Program across every configuration of a workload; so do
- * the other per-configuration drivers below.
+ * Record @p w's front end under @p cfg over @p budget's warm-up and
+ * measure segments. The Program is built for the recording and freed
+ * before it returns.
+ */
+FrontRecording recordWorkload(const WorkloadRef &w,
+                              const ExperimentBudget &budget,
+                              const SystemConfig &cfg = SystemConfig{});
+
+/**
+ * Run Figure 8 (right) at one geometry, replaying @p rec (see
+ * recordWorkload) under @p cfg. The experiment grids in
+ * sim/registry.cc share one read-only recording across every
+ * configuration of a workload; so do the other per-configuration
+ * drivers below.
  */
 Fig8RightPoint
-runFig8Right(const WorkloadRef &w, const Program &prog,
-             const ExperimentBudget &budget, const RegionGeometry &g,
+runFig8Right(const FrontRecording &rec, const RegionGeometry &g,
              const SystemConfig &cfg = SystemConfig{});
 
 /** Figure 9 (left): coverage-weighted temporal stream lengths
@@ -104,9 +115,8 @@ inline constexpr std::uint64_t fig9HistorySizes[] = {
 };
 
 /** Figure 9 (right): PIF coverage with a history of
- * @p history_regions on @p prog, the program of @p w. */
-double runFig9Right(const WorkloadRef &w, const Program &prog,
-                    const ExperimentBudget &budget,
+ * @p history_regions, replaying @p rec. */
+double runFig9Right(const FrontRecording &rec,
                     std::uint64_t history_regions,
                     const SystemConfig &cfg = SystemConfig{});
 
@@ -122,21 +132,19 @@ inline constexpr PrefetcherKind fig10SpeedupKinds[] = {
     PrefetcherKind::Tifs, PrefetcherKind::Pif, PrefetcherKind::Perfect,
 };
 
-/** Figure 10 (left): correct-path L1-I misses left on @p prog by
+/** Figure 10 (left): correct-path L1-I misses left on @p rec by
  * @p kind without storage limitations (Section 5.5). */
 std::uint64_t
-runFig10Coverage(const WorkloadRef &w, const Program &prog,
-                 const ExperimentBudget &budget, PrefetcherKind kind,
+runFig10Coverage(const FrontRecording &rec, PrefetcherKind kind,
                  const SystemConfig &cfg = SystemConfig{});
 
 /** Share of @p baseline misses a prefetcher leaving @p remaining
  * eliminated (0 without a baseline, never negative). */
 double missCoverage(std::uint64_t baseline, std::uint64_t remaining);
 
-/** Figure 10 (right): cycle-engine UIPC on @p prog with @p kind;
+/** Figure 10 (right): cycle-engine UIPC on @p rec with @p kind;
  * a speedup is its ratio to the None run's. */
-double runFig10Speedup(const WorkloadRef &w, const Program &prog,
-                       const ExperimentBudget &budget, PrefetcherKind kind,
+double runFig10Speedup(const FrontRecording &rec, PrefetcherKind kind,
                        const SystemConfig &cfg = SystemConfig{});
 
 } // namespace pifetch

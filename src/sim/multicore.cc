@@ -107,6 +107,15 @@ interleave(std::vector<std::unique_ptr<TraceEngine>> &engines,
     }
 }
 
+/** Core @p core's configuration in the shared-storage study. */
+SystemConfig
+studyCoreConfig(const SystemConfig &cfg, unsigned core)
+{
+    SystemConfig core_cfg = cfg;
+    core_cfg.seed = cfg.seed + core * 7919;
+    return core_cfg;
+}
+
 /** Mean correct-path miss ratio across engines from counter deltas. */
 double
 meanMissRatioSince(const std::vector<std::unique_ptr<TraceEngine>> &eng,
@@ -126,19 +135,25 @@ meanMissRatioSince(const std::vector<std::unique_ptr<TraceEngine>> &eng,
 
 } // namespace
 
+FrontRecording
+recordSharedPifCore(const WorkloadRef &w, const Program &prog,
+                    unsigned core, InstCount warmup, InstCount measure,
+                    const SystemConfig &cfg)
+{
+    return FrontRecording(studyCoreConfig(cfg, core), prog,
+                          w.executorConfig(0, core + 1), warmup, measure);
+}
+
 SharedPifStudyResult
-runSharedPifStudy(const WorkloadRef &w, const Program &prog,
-                  unsigned cores, std::uint64_t total_history_regions,
-                  bool shared, InstCount warmup, InstCount measure,
+runSharedPifStudy(const std::vector<FrontRecording> &cores,
+                  std::uint64_t total_history_regions, bool shared,
                   const SystemConfig &cfg)
 {
-    // All cores execute the SAME binary (distinct interleavings), as
-    // on a real server; otherwise cross-core sharing cannot help.
+    const auto n = static_cast<unsigned>(cores.size());
     SystemConfig run_cfg = cfg;
     run_cfg.pif.historyRegions =
         shared ? total_history_regions
-               : std::max<std::uint64_t>(total_history_regions / cores,
-                                         256);
+               : std::max<std::uint64_t>(total_history_regions / n, 256);
 
     std::shared_ptr<SharedPifStorage> storage;
     if (shared)
@@ -146,7 +161,7 @@ runSharedPifStudy(const WorkloadRef &w, const Program &prog,
 
     std::vector<std::unique_ptr<TraceEngine>> engines;
     std::vector<Prefetcher *> prefetchers;
-    for (unsigned core = 0; core < cores; ++core) {
+    for (unsigned core = 0; core < n; ++core) {
         std::unique_ptr<Prefetcher> pf;
         if (shared) {
             pf = std::make_unique<SharedPifPrefetcher>(storage);
@@ -154,22 +169,19 @@ runSharedPifStudy(const WorkloadRef &w, const Program &prog,
             pf = std::make_unique<PifPrefetcher>(run_cfg.pif);
         }
         prefetchers.push_back(pf.get());
-        SystemConfig core_cfg = run_cfg;
-        core_cfg.seed = run_cfg.seed + core * 7919;
         engines.push_back(std::make_unique<TraceEngine>(
-            core_cfg, prog, w.executorConfig(0, core + 1),
-            std::move(pf)));
+            studyCoreConfig(run_cfg, core), cores[core], std::move(pf)));
     }
 
-    interleave(engines, warmup);
-    std::vector<std::uint64_t> acc0(cores);
-    std::vector<std::uint64_t> miss0(cores);
-    for (unsigned c = 0; c < cores; ++c) {
+    interleave(engines, cores.front().warmup());
+    std::vector<std::uint64_t> acc0(n);
+    std::vector<std::uint64_t> miss0(n);
+    for (unsigned c = 0; c < n; ++c) {
         acc0[c] = engines[c]->frontend().correctPathFetches();
         miss0[c] = engines[c]->frontend().correctPathMisses();
         prefetchers[c]->resetStats();
     }
-    interleave(engines, measure);
+    interleave(engines, cores.front().measure());
 
     SharedPifStudyResult out;
     out.missRatio = meanMissRatioSince(engines, acc0, miss0);
@@ -178,7 +190,7 @@ runSharedPifStudy(const WorkloadRef &w, const Program &prog,
             ? static_cast<SharedPifPrefetcher *>(pf)->coverage()
             : static_cast<PifPrefetcher *>(pf)->coverage();
     }
-    out.coverage /= cores;
+    out.coverage /= n;
     return out;
 }
 

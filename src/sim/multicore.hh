@@ -78,16 +78,28 @@ struct SharedPifStudyResult
 };
 
 /**
- * Interleave @p cores engines on @p prog, the caller-built program of
- * @p w: all cores execute the same binary (distinct interleavings).
- * PIF history totals @p total_history_regions: one shared pool when
- * @p shared, else a dedicated total/cores pool (at least 256 regions)
- * per core. Compare the two arms at equal @p total_history_regions.
+ * Record the front end of core @p core of the shared-storage study on
+ * @p prog, the caller-built program of @p w: every core executes the
+ * same binary, with its own interleaving and seeds, as on a real
+ * server. One recording per core serves every arm of
+ * runSharedPifStudy.
+ */
+FrontRecording
+recordSharedPifCore(const WorkloadRef &w, const Program &prog,
+                    unsigned core, InstCount warmup, InstCount measure,
+                    const SystemConfig &cfg = SystemConfig{});
+
+/**
+ * Interleave one engine per recording of @p cores (core c's made by
+ * recordSharedPifCore with the same @p cfg) in 10K-instruction
+ * chunks over their warm-up and measure segments. PIF history totals
+ * @p total_history_regions: one shared pool when @p shared, else a
+ * dedicated total/cores pool (at least 256 regions) per core. Compare
+ * the two arms at equal @p total_history_regions.
  */
 SharedPifStudyResult
-runSharedPifStudy(const WorkloadRef &w, const Program &prog,
-                  unsigned cores, std::uint64_t total_history_regions,
-                  bool shared, InstCount warmup, InstCount measure,
+runSharedPifStudy(const std::vector<FrontRecording> &cores,
+                  std::uint64_t total_history_regions, bool shared,
                   const SystemConfig &cfg = SystemConfig{});
 
 } // namespace pifetch

@@ -4,8 +4,8 @@
  *
  * EngineObservers gives both engines one opt-in observation
  * configuration (ObserverConfig: stream digests and event-store
- * recording) behind one predictable detached-branch per instruction:
- * the batched replay loops test active() once and hand the instruction
+ * recording) behind one predictable detached-branch per step: the
+ * engines' back stages test active() once and hand each instruction
  * plus its fetch-access span to observeStep(), which folds the stream
  * digests and appends the event-store rows in a single place. Counter
  * samples are built from the engines' shared RunCounters snapshot, so
@@ -20,6 +20,7 @@
 
 #pragma once
 
+#include "cache/cache.hh"
 #include "common/digest.hh"
 #include "core/frontend.hh"
 #include "query/event_store.hh"
@@ -104,15 +105,22 @@ class EngineObservers
     }
 
     /**
-     * Observe one retired instruction and the @p count fetch accesses
-     * it produced. @p counters is invoked only when a windowed counter
-     * sample is due (it should build the engine's CounterSnapshot).
+     * Observe one retired instruction of a live engine and the
+     * @p count fetch accesses it produced. A due counter sample takes
+     * the counters from @p exec, @p frontend and @p l1i, except the
+     * interrupt count: the executor's counter advances a whole decoded
+     * batch early, so it is re-derived per instruction from the record
+     * stream itself (a TL0 -> TL1 transition is exactly one delivery),
+     * keeping samples identical at any batch length.
      */
-    template <typename CounterFn>
     void
     observeStep(const RetiredInstr &instr, const FetchAccess *events,
-                std::size_t count, CounterFn &&counters)
+                std::size_t count, const Executor &exec,
+                const Frontend &frontend, const Cache &l1i)
     {
+        interrupts_ += static_cast<std::uint64_t>(instr.trapLevel != 0 &&
+                                                  prevTl_ == 0);
+        prevTl_ = instr.trapLevel;
         if (cfg_.digests) {
             digestRetire(retireDigest_, instr);
             for (std::size_t i = 0; i < count; ++i)
@@ -127,8 +135,12 @@ class EngineObservers
                                               ? instr.pc
                                               : blockBase(ev.block));
             }
-            if (cfg_.events->counterSampleDue(cfg_.core))
-                cfg_.events->sampleCounters(cfg_.core, counters());
+            if (cfg_.events->counterSampleDue(cfg_.core)) {
+                RunCounters live = liveRunCounters(exec, frontend);
+                live.interrupts = interrupts_;
+                cfg_.events->sampleCounters(
+                    cfg_.core, counterSnapshotOf(live, l1i.prefetchFills()));
+            }
         }
     }
 
@@ -144,6 +156,9 @@ class EngineObservers
     ObserverConfig cfg_;
     StreamDigest retireDigest_;
     StreamDigest accessDigest_;
+    /** Interrupts delivered so far, counted per instruction. */
+    std::uint64_t interrupts_ = 0;
+    TrapLevel prevTl_ = 0;
 };
 
 } // namespace pifetch

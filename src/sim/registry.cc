@@ -13,10 +13,12 @@
 #include "sim/registry.hh"
 
 #include <algorithm>
+#include <atomic>
 #include <cerrno>
 #include <cmath>
 #include <cstdlib>
 #include <limits>
+#include <mutex>
 #include <type_traits>
 
 #include "common/parallel.hh"
@@ -45,23 +47,46 @@ budgetOf(const ExperimentSpec &spec, const RunOptions &opts)
 }
 
 /**
- * Run fn(workload, program, config) for every workload x config pair
- * as one task list on the pool. Each workload's Program is built once,
- * over the pool, and its tasks share it read-only; the result of pair
- * (w, c) lands in slot w * configs + c, whatever lane ran it.
+ * Run fn(recording, config) for every workload x config pair as one
+ * task list on the pool. Each workload's front end is recorded once:
+ * the list opens with one recording task per workload, which builds
+ * the Program, records the warm-up and measure segments under @p cfg
+ * and frees the Program. Every configuration task then replays only
+ * the back stage from its workload's read-only recording, waiting if
+ * another lane is still recording it; the last one to finish frees
+ * it. The result of pair (w, c) lands in slot w * configs + c,
+ * whatever lane ran it.
  */
 template <typename Result, typename Fn>
 std::vector<Result>
-runGrid(const std::vector<WorkloadRef> &ws, std::size_t configs,
-        unsigned threads, const Fn &fn)
+runRecordedGrid(const std::vector<WorkloadRef> &ws,
+                const ExperimentBudget &budget, std::size_t configs,
+                const SystemConfig &cfg, const Fn &fn)
 {
-    std::vector<Program> progs(ws.size());
-    parallelFor(threads, ws.size(), [&](std::uint64_t i) {
-        progs[i] = ws[i].buildProgram();
-    });
-    std::vector<Result> out(ws.size() * configs);
-    parallelFor(threads, out.size(), [&](std::uint64_t i) {
-        out[i] = fn(ws[i / configs], progs[i / configs], i % configs);
+    const std::size_t n = ws.size();
+    std::vector<FrontRecording> recs(n);
+    std::vector<std::once_flag> recorded(n);
+    std::vector<std::atomic<std::size_t>> left(n);
+    for (std::atomic<std::size_t> &l : left)
+        l.store(configs, std::memory_order_relaxed);
+    const auto record = [&](std::size_t w) {
+        std::call_once(recorded[w], [&] {
+            recs[w] = recordWorkload(ws[w], budget, cfg);
+        });
+    };
+
+    std::vector<Result> out(n * configs);
+    parallelFor(cfg.threads, n + out.size(), [&](std::uint64_t t) {
+        if (t < n) {
+            record(t);
+            return;
+        }
+        const std::size_t i = t - n;
+        const std::size_t w = i / configs;
+        record(w);
+        out[i] = fn(recs[w], i % configs);
+        if (left[w].fetch_sub(1, std::memory_order_acq_rel) == 1)
+            recs[w] = FrontRecording();
     });
     return out;
 }
@@ -361,11 +386,10 @@ runFig8RightBody(const ExperimentSpec &spec, const RunOptions &opts)
     const std::vector<WorkloadRef> ws = workloadsOf(spec, opts);
     const ExperimentBudget budget = budgetOf(spec, opts);
     constexpr std::size_t n = std::size(fig8Geometries);
-    const auto rs = runGrid<Fig8RightPoint>(
-        ws, n, opts.cfg.threads,
-        [&](const WorkloadRef &w, const Program &prog, std::size_t g) {
-            return runFig8Right(w, prog, budget, fig8Geometries[g],
-                                opts.cfg);
+    const auto rs = runRecordedGrid<Fig8RightPoint>(
+        ws, budget, n, opts.cfg,
+        [&](const FrontRecording &rec, std::size_t g) {
+            return runFig8Right(rec, fig8Geometries[g], opts.cfg);
         });
 
     std::vector<std::string> cols = {"group", "workload", "trap_level"};
@@ -399,11 +423,10 @@ runFig9RightBody(const ExperimentSpec &spec, const RunOptions &opts)
     const std::vector<WorkloadRef> ws = workloadsOf(spec, opts);
     const ExperimentBudget budget = budgetOf(spec, opts);
     constexpr std::size_t n = std::size(fig9HistorySizes);
-    const auto coverage = runGrid<double>(
-        ws, n, opts.cfg.threads,
-        [&](const WorkloadRef &w, const Program &prog, std::size_t s) {
-            return runFig9Right(w, prog, budget, fig9HistorySizes[s],
-                                opts.cfg);
+    const auto coverage = runRecordedGrid<double>(
+        ws, budget, n, opts.cfg,
+        [&](const FrontRecording &rec, std::size_t s) {
+            return runFig9Right(rec, fig9HistorySizes[s], opts.cfg);
         });
 
     std::vector<std::string> cols = {"history_regions"};
@@ -432,11 +455,10 @@ runFig10CoverageBody(const ExperimentSpec &spec, const RunOptions &opts)
     const std::vector<WorkloadRef> ws = workloadsOf(spec, opts);
     const ExperimentBudget budget = budgetOf(spec, opts);
     constexpr std::size_t n = std::size(fig10CoverageKinds);
-    const auto misses = runGrid<std::uint64_t>(
-        ws, n, opts.cfg.threads,
-        [&](const WorkloadRef &w, const Program &prog, std::size_t k) {
-            return runFig10Coverage(w, prog, budget,
-                                    fig10CoverageKinds[k], opts.cfg);
+    const auto misses = runRecordedGrid<std::uint64_t>(
+        ws, budget, n, opts.cfg,
+        [&](const FrontRecording &rec, std::size_t k) {
+            return runFig10Coverage(rec, fig10CoverageKinds[k], opts.cfg);
         });
 
     ResultValue t = makeTable(
@@ -464,11 +486,10 @@ runFig10SpeedupBody(const ExperimentSpec &spec, const RunOptions &opts)
     const std::vector<WorkloadRef> ws = workloadsOf(spec, opts);
     const ExperimentBudget budget = budgetOf(spec, opts);
     constexpr std::size_t n = std::size(fig10SpeedupKinds);
-    const auto uipc = runGrid<double>(
-        ws, n, opts.cfg.threads,
-        [&](const WorkloadRef &w, const Program &prog, std::size_t k) {
-            return runFig10Speedup(w, prog, budget,
-                                   fig10SpeedupKinds[k], opts.cfg);
+    const auto uipc = runRecordedGrid<double>(
+        ws, budget, n, opts.cfg,
+        [&](const FrontRecording &rec, std::size_t k) {
+            return runFig10Speedup(rec, fig10SpeedupKinds[k], opts.cfg);
         });
 
     ResultValue t = makeTable(
@@ -524,10 +545,30 @@ runAblationBody(const ExperimentSpec &spec, const RunOptions &opts)
     // body reports that back so meta.workloads never over-claims.
     const WorkloadRef w = workloadsOf(spec, opts).front();
     const ExperimentBudget budget = budgetOf(spec, opts);
-    const Program prog = w.buildProgram();
     const SystemConfig &base = opts.cfg;
 
-    // Every design point is one task writing its own slot; all 27 run
+    // Record the front end once, each stream a task on the pool: the
+    // single-engine stream first (it is twice as long), then one per
+    // core of the shared-storage study. The Program is freed once they
+    // are recorded.
+    constexpr unsigned cores = 4;
+    FrontRecording rec;
+    std::vector<FrontRecording> core_recs(cores);
+    {
+        const Program prog = w.buildProgram();
+        parallelFor(base.threads, 1 + cores, [&](std::uint64_t i) {
+            if (i == 0) {
+                rec = FrontRecording(base, prog, w.executorConfig(),
+                                     budget.warmup, budget.measure);
+            } else {
+                core_recs[i - 1] = recordSharedPifCore(
+                    w, prog, static_cast<unsigned>(i - 1),
+                    budget.warmup / 2, budget.measure / 2, base);
+            }
+        });
+    }
+
+    // Every design point is one task writing its own slots; all run
     // as one list, and the tables read the slots afterwards.
     std::vector<std::function<void()>> tasks;
 
@@ -538,26 +579,31 @@ runAblationBody(const ExperimentSpec &spec, const RunOptions &opts)
     std::vector<SharedPifStudyResult> study(2 * totals.size());
     for (std::size_t i = 0; i < study.size(); ++i) {
         tasks.push_back([&, i] {  // slot 2t: private, 2t + 1: shared
-            study[i] = runSharedPifStudy(w, prog, 4, totals[i / 2],
-                                         i % 2 == 1, budget.warmup / 2,
-                                         budget.measure / 2, base);
+            study[i] = runSharedPifStudy(core_recs, totals[i / 2],
+                                         i % 2 == 1, base);
         });
     }
 
-    // Then the 23 single-engine points, each PIF or next-line.
+    // Then the single-engine points, each PIF or next-line, keyed by
+    // prefetcher and full configuration: the base PIF point appears in
+    // three tables (depth 4, 4 SABs x 7 regions, separate trap levels)
+    // and runs once, filling every slot.
+    struct Point
+    {
+        SystemConfig cfg;
+        bool nextLine;
+        std::vector<TraceRunResult *> slots;
+    };
+    std::vector<Point> points;
     const auto addRun = [&](TraceRunResult &slot, const SystemConfig &cfg,
                             bool next_line) {
-        tasks.push_back([&, cfg, next_line] {
-            std::unique_ptr<Prefetcher> pf;
-            if (next_line) {
-                pf = std::make_unique<NextLinePrefetcher>(cfg.nextLine);
-            } else {
-                pf = std::make_unique<PifPrefetcher>(cfg.pif);
+        for (Point &p : points) {
+            if (p.nextLine == next_line && p.cfg == cfg) {
+                p.slots.push_back(&slot);
+                return;
             }
-            TraceEngine engine(cfg, prog, w.executorConfig(),
-                               std::move(pf));
-            slot = engine.run(budget.warmup, budget.measure);
-        });
+        }
+        points.push_back({cfg, next_line, {&slot}});
     };
 
     const std::vector<unsigned> depths = {1, 2, 4, 8, 16};
@@ -596,6 +642,20 @@ runAblationBody(const ExperimentSpec &spec, const RunOptions &opts)
         addRun(nl_rs[i], cfg, true);
     }
 
+    for (const Point &p : points) {
+        tasks.push_back([&rec, &p] {
+            std::unique_ptr<Prefetcher> pf;
+            if (p.nextLine) {
+                pf = std::make_unique<NextLinePrefetcher>(p.cfg.nextLine);
+            } else {
+                pf = std::make_unique<PifPrefetcher>(p.cfg.pif);
+            }
+            TraceEngine engine(p.cfg, rec, std::move(pf));
+            const TraceRunResult r = engine.run(rec.warmup(), rec.measure());
+            for (TraceRunResult *slot : p.slots)
+                *slot = r;
+        });
+    }
     parallelFor(base.threads, tasks.size(),
                 [&](std::uint64_t i) { tasks[i](); });
 

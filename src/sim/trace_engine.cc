@@ -5,6 +5,8 @@
 
 #include "sim/trace_engine.hh"
 
+#include <stdexcept>
+
 #include "pif/pif_prefetcher.hh"
 #include "sim/prefetcher_dispatch.hh"
 
@@ -15,101 +17,86 @@ namespace {
 constexpr unsigned drainPerStep = 16;
 } // namespace
 
-TraceEngine::TraceEngine(const SystemConfig &cfg, const Program &prog,
-                         const ExecutorConfig &exec_cfg,
+TraceEngine::TraceEngine(const SystemConfig &cfg,
                          std::unique_ptr<Prefetcher> prefetcher)
     : cfg_(cfg),
-      exec_(prog, exec_cfg),
       l1i_(cfg.l1i, ReplacementKind::LRU, cfg.seed),
-      frontend_(cfg, l1i_, cfg.seed ^ 0xfe7c4),
+      frontend_(cfg, l1i_, frontendSeed(cfg)),
       prefetcher_(std::move(prefetcher))
 {
     batch_.reserve(batchLen_);
-    events_.reserve(4096);
+    steps_.reserve(batchLen_);
+    events_.reserve(64);
     drain_.reserve(drainPerStep);
+}
+
+TraceEngine::TraceEngine(const SystemConfig &cfg, const Program &prog,
+                         const ExecutorConfig &exec_cfg,
+                         std::unique_ptr<Prefetcher> prefetcher)
+    : TraceEngine(cfg, std::move(prefetcher))
+{
+    exec_.emplace(prog, exec_cfg);
+}
+
+TraceEngine::TraceEngine(const SystemConfig &cfg,
+                         const FrontRecording &rec,
+                         std::unique_ptr<Prefetcher> prefetcher)
+    : TraceEngine(cfg, std::move(prefetcher))
+{
+    if (!rec.replayableWith(cfg))
+        throw std::invalid_argument(
+            "TraceEngine: recording made under another front-end "
+            "configuration");
+    replay_.emplace(rec);
+}
+
+void
+TraceEngine::attachObservers(const ObserverConfig &obs)
+{
+    if (replay_)
+        throw std::logic_error(
+            "TraceEngine: observers need the live front end");
+    observers_.configure(obs);
 }
 
 template <typename P>
 void
-TraceEngine::stepBatch(P &prefetcher, const RecordBatch &batch)
+TraceEngine::drainFills(P &prefetcher, bool observing)
 {
-    const bool observing = observers_.active();
-    events_.clear();
-    std::size_t ev0 = 0;
-
-    for (std::uint32_t i = 0; i < batch.size; ++i) {
-        const Addr block = batch.block[i];
-        const std::uint8_t tl = batch.trapLevel[i];
-        const bool noop = frontend_.stepIsNoop(
-            block, static_cast<InstrKind>(batch.kind[i]), tl);
-
-        // Bulk fast path: a maximal run of plain instructions fetched
-        // from the current block at an unchanged trap level performs
-        // no front-end steps, no fetch accesses, and (unobserved) no
-        // digest folds. Collapse the whole run: the prefetcher sees
-        // one same-block-run retire (exactly equivalent to the
-        // per-instruction calls — every shipped retire hook is either
-        // a no-op or the spatial compactor's same-block early-out),
-        // and the drain keeps the per-instruction budget. Observers
-        // need per-instruction folds, so the run stays scalar then.
-        // Only the pc/kind/trapLevel/block columns are read here, so
-        // the path composes with the executor's lean decode.
-        if (!observing && noop) {
-            std::uint32_t j = i + 1;
-            while (j < batch.size && batch.plainCont[j])
-                ++j;
-            const std::uint32_t run = j - i;
-            prefetcher.onRetireSameBlockRun(tl, run);
-            // No accesses intervene, so nothing enqueues mid-run:
-            // once a drain comes back empty the queue stays empty,
-            // and stopping early is state-identical to draining once
-            // per instruction.
-            for (std::uint32_t k = 0; k < run; ++k) {
-                drain_.clear();
-                if (prefetcher.drainRequests(drain_, drainPerStep) == 0)
-                    break;
-                for (Addr b : drain_) {
-                    if (!l1i_.probe(b))
-                        l1i_.fill(b, true);
-                }
-            }
-            i = j - 1;
-            continue;
+    // Apply prefetch candidates: probe the tags first (Section 4.3's
+    // line-buffer path); a functional fill models a timely prefetch.
+    // This stays per-instruction — the fill changes what the very next
+    // instruction's fetch hits.
+    drain_.clear();
+    prefetcher.drainRequests(drain_, drainPerStep);
+    for (Addr b : drain_) {
+        if (!l1i_.probe(b)) {
+            l1i_.fill(b, true);
+            if (observing)
+                observers_.observePrefetchFill(b);
         }
+    }
+}
 
-        // Scalar fast path: a lone no-op step (observers attached)
-        // still skips the out-of-line front-end call and reuses the
-        // sticky tag.
-        const RetiredInstr instr = batch.get(i);
-        const bool tagged =
-            noop ? frontend_.currentBlockTagged()
-                 : frontend_.step(instr, events_);
+template <typename P>
+void
+TraceEngine::backStage(P &prefetcher, const RecordBatch *observed)
+{
+    const bool observing = observed != nullptr;
+    std::uint32_t at = 0;  // batch index of the next observed record
 
-        const std::size_t nev = events_.size() - ev0;
-        const FetchAccess *evs = events_.data() + ev0;
+    for (const FrontStep &s : steps_) {
+        events_.clear();
+        const bool tagged = frontend_.fetchStep(s, events_);
+        if (observing)
+            observers_.observeStep(observed->get(at++), events_.data(),
+                                   events_.size(), *exec_, frontend_,
+                                   l1i_);
 
-        if (observing) {
-            // Executor-side counters advance at batch-decode
-            // granularity, so a mid-batch counter sample must not read
-            // them: re-derive the interrupt count per instruction from
-            // the record stream itself (a TL0 -> TL1 transition is
-            // exactly one delivery), keeping samples identical at any
-            // batch length.
-            obsInterrupts_ += static_cast<std::uint64_t>(
-                instr.trapLevel != 0 && obsPrevTl_ == 0);
-            obsPrevTl_ = instr.trapLevel;
-            observers_.observeStep(instr, evs, nev, [&] {
-                RunCounters live = liveRunCounters(exec_, frontend_);
-                live.interrupts = obsInterrupts_;
-                return counterSnapshotOf(live, l1i_.prefetchFills());
-            });
-        }
-
-        for (std::size_t e = 0; e < nev; ++e) {
-            const FetchAccess &ev = evs[e];
+        for (const FetchAccess &ev : events_) {
             FetchInfo info;
             info.block = ev.block;
-            info.pc = ev.correctPath ? instr.pc : blockBase(ev.block);
+            info.pc = ev.correctPath ? s.pc : blockBase(ev.block);
             info.hit = ev.hit;
             info.wasPrefetched = ev.wasPrefetched;
             info.correctPath = ev.correctPath;
@@ -117,23 +104,44 @@ TraceEngine::stepBatch(P &prefetcher, const RecordBatch &batch)
             prefetcher.onFetchAccess(info);
         }
 
-        prefetcher.onRetire(instr, tagged);
+        // The retire hooks read the pc and trap level only.
+        RetiredInstr retired;
+        retired.pc = s.pc;
+        retired.trapLevel = s.trapLevel;
+        prefetcher.onRetire(retired, tagged);
+        drainFills(prefetcher, observing);
 
-        // Apply prefetch candidates: probe the tags first (Section
-        // 4.3's line-buffer path); a functional fill models a timely
-        // prefetch. This stays per-instruction — the fill changes what
-        // the very next instruction's fetch hits.
-        drain_.clear();
-        prefetcher.drainRequests(drain_, drainPerStep);
-        for (Addr b : drain_) {
-            if (!l1i_.probe(b)) {
-                l1i_.fill(b, true);
-                if (observing)
-                    observers_.observePrefetchFill(b);
+        if (s.sameBlock == 0)
+            continue;
+        if (observing) {
+            // Observers fold every record, so the run stays scalar.
+            for (std::uint32_t k = 0; k < s.sameBlock; ++k) {
+                observers_.observeStep(observed->get(at++), nullptr, 0,
+                                       *exec_, frontend_, l1i_);
+                prefetcher.onRetireSameBlockRun(s.trapLevel, 1);
+                drainFills(prefetcher, true);
+            }
+            continue;
+        }
+        // Bulk same-block run: no front-end work and no fetches, so
+        // the prefetcher sees one same-block-run retire (exactly
+        // equivalent to the per-instruction calls — every shipped
+        // retire hook is either a no-op or the spatial compactor's
+        // same-block early-out), and the drain keeps its
+        // per-instruction budget. No accesses intervene, so nothing
+        // enqueues mid-run: once a drain comes back empty the queue
+        // stays empty, and stopping early is state-identical to
+        // draining once per instruction.
+        prefetcher.onRetireSameBlockRun(s.trapLevel, s.sameBlock);
+        for (std::uint32_t k = 0; k < s.sameBlock; ++k) {
+            drain_.clear();
+            if (prefetcher.drainRequests(drain_, drainPerStep) == 0)
+                break;
+            for (Addr b : drain_) {
+                if (!l1i_.probe(b))
+                    l1i_.fill(b, true);
             }
         }
-
-        ev0 = events_.size();
     }
 }
 
@@ -141,27 +149,34 @@ template <typename P>
 void
 TraceEngine::advanceWith(P &prefetcher, InstCount n)
 {
-    // Unobserved replay never reads the target/taken columns of plain
-    // records (the bulk path keys on pc/kind/trapLevel/block, and
-    // Frontend::step ignores both for Plain), so let the decoder skip
-    // those fills. Observers fold whole records and need full batches.
-    const bool lean = !observers_.active();
+    // Unobserved, the front stage never reads the target/taken columns
+    // of plain records (FrontStage::step ignores both for Plain), so
+    // let the decoder skip those fills. Observers fold whole records
+    // and need full batches.
+    const bool observing = observers_.active();
     while (n > 0) {
         const std::uint32_t want =
             n < batchLen_ ? static_cast<std::uint32_t>(n) : batchLen_;
-        exec_.nextBatch(batch_, want, lean);
-        if (batch_.size == 0)
+        InstCount got = 0;
+        if (replay_) {
+            got = replay_->next(steps_, want);
+        } else {
+            exec_->nextBatch(batch_, want, !observing);
+            frontend_.front().stepBatch(batch_, steps_);
+            got = batch_.size;
+        }
+        if (got == 0)
             break;
-        stepBatch(prefetcher, batch_);
-        n -= batch_.size;
+        backStage(prefetcher, observing ? &batch_ : nullptr);
+        n -= got;
     }
 }
 
 void
 TraceEngine::advance(InstCount n)
 {
-    // Monomorphize the replay loop on the known prefetcher set (the
-    // ladder lives in sim/prefetcher_dispatch.hh).
+    // Monomorphize the loop on the known prefetcher set (the ladder
+    // lives in sim/prefetcher_dispatch.hh).
     withConcretePrefetcher(*prefetcher_,
                            [&](auto &p) { advanceWith(p, n); });
 }
@@ -169,8 +184,17 @@ TraceEngine::advance(InstCount n)
 void
 TraceEngine::replayBatch(const RecordBatch &batch)
 {
-    withConcretePrefetcher(*prefetcher_,
-                           [&](auto &p) { stepBatch(p, batch); });
+    frontend_.front().stepBatch(batch, steps_);
+    withConcretePrefetcher(*prefetcher_, [&](auto &p) {
+        backStage(p, observers_.active() ? &batch : nullptr);
+    });
+}
+
+RunCounters
+TraceEngine::counters() const
+{
+    return replay_ ? replay_->counters(frontend_)
+                   : liveRunCounters(*exec_, frontend_);
 }
 
 TraceRunResult
@@ -179,11 +203,12 @@ TraceEngine::run(InstCount warmup, InstCount measure)
     advance(warmup);
 
     // Snapshot warmup-end counters so the result reflects only the
-    // measurement window. instrs comes from the executor, not echoed
-    // from the request, so the length-scaling and cross-engine oracles
-    // (src/check/) compare a real counter: a replay loop that silently
-    // ran short would show up here.
-    const RunCounters base = liveRunCounters(exec_, frontend_);
+    // measurement window. instrs comes from the executor (or the
+    // recording's copy of its counter), not echoed from the request,
+    // so the length-scaling and cross-engine oracles (src/check/)
+    // compare a real counter: a loop that silently ran short would
+    // show up here.
+    const RunCounters base = counters();
     const std::uint64_t fills0 = l1i_.prefetchFills();
     const std::uint64_t useful0 = l1i_.usefulPrefetches();
     prefetcher_->resetStats();
@@ -191,7 +216,7 @@ TraceEngine::run(InstCount warmup, InstCount measure)
     advance(measure);
 
     TraceRunResult res;
-    static_cast<RunCounters &>(res) = liveRunCounters(exec_, frontend_);
+    static_cast<RunCounters &>(res) = counters();
     res.subtractBase(base);
     res.prefetchIssued = prefetcher_->issued();
     res.prefetchFills = l1i_.prefetchFills() - fills0;

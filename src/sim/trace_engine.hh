@@ -7,25 +7,30 @@
  * predictor quality (coverage, accuracy, over-prediction) exactly like
  * the paper's trace-based studies (Sections 2, 3, 5.1-5.5).
  *
- * The replay loop is batched: the executor decodes a structure-of-
- * arrays RecordBatch at a time (trace/record.hh), and the per-
- * instruction stages (front-end, prefetcher hooks, drain) stream over
- * the batch columns with an inline fast path for plain instructions
- * that stay inside the current fetch block. Per-instruction order is
- * preserved exactly — the prefetch drain feeds the cache the next
+ * The loop is batched and runs in two stages. The front stage turns an
+ * executor batch (a structure-of-arrays RecordBatch, trace/record.hh)
+ * into FrontStep records: which blocks each instruction fetches, with
+ * same-block runs of plain instructions collapsed. The back stage
+ * performs those fetches through the line buffer and the L1-I, runs
+ * the prefetcher hooks and applies the prefetch drain. Per-instruction
+ * order is preserved exactly — the drain feeds the cache the next
  * instruction observes — so results are bit-identical at any batch
- * length; the batched differential suite and the golden snapshots
- * lock that.
+ * length; the batched differential suite and the golden snapshots lock
+ * that. An engine built from a FrontRecording runs only the back stage,
+ * replaying the recorded steps instead of running the executor and the
+ * front stage (sim/front_recording.hh).
  */
 
 #pragma once
 
 #include <memory>
+#include <optional>
 
 #include "cache/cache.hh"
 #include "common/config.hh"
 #include "core/frontend.hh"
 #include "prefetch/prefetcher.hh"
+#include "sim/front_recording.hh"
 #include "sim/observer.hh"
 #include "sim/run_counters.hh"
 #include "sim/system_config.hh"
@@ -69,6 +74,19 @@ class TraceEngine
                 std::unique_ptr<Prefetcher> prefetcher);
 
     /**
+     * Replay @p rec's front-end stream through the back stage only.
+     * run() must ask for the recording's own warm-up and measure
+     * lengths; advance() may cut it anywhere. Observers need the live
+     * front end and cannot be attached. Throws std::invalid_argument
+     * unless rec.replayableWith(cfg).
+     *
+     * @param rec The recording (externally owned, read-only; many
+     *        engines may share it across threads).
+     */
+    TraceEngine(const SystemConfig &cfg, const FrontRecording &rec,
+                std::unique_ptr<Prefetcher> prefetcher);
+
+    /**
      * Execute @p warmup instructions (training predictors and warming
      * the cache), then @p measure instructions with statistics.
      */
@@ -89,8 +107,8 @@ class TraceEngine
 
     /**
      * Replay externally supplied records (a captured trace decoded by
-     * TraceBatchReader, say) through the same batched pipeline,
-     * bypassing the executor. The batch's block column must be
+     * TraceBatchReader, say) through both stages, bypassing the
+     * executor. The batch's block column must be
      * populated (computeBlocks()); executor-side counters (retired,
      * interrupts) do not advance.
      */
@@ -99,21 +117,19 @@ class TraceEngine
     Cache &l1i() { return l1i_; }
     Frontend &frontend() { return frontend_; }
     Prefetcher &prefetcher() { return *prefetcher_; }
-    Executor &executor() { return exec_; }
+    /** The executor (live engines only). */
+    Executor &executor() { return *exec_; }
 
     /**
      * Configure observation: stream digests and/or event-store
-     * recording (see ObserverConfig). Detached (the default) the
-     * replay hot path pays one predictable branch per instruction and
-     * nothing else (perfbench's `replay` workload times it detached).
-     * Configure before the first advance()/run() so differential runs
-     * observe identical windows; digest state accumulated so far is
-     * kept.
+     * recording (see ObserverConfig). Detached (the default) the hot
+     * path pays one predictable branch per step and nothing else
+     * (perfbench's `replay` workload times it detached). Configure
+     * before the first advance()/run() so differential runs observe
+     * identical windows; digest state accumulated so far is kept.
+     * Throws std::logic_error on an engine built from a recording.
      */
-    void attachObservers(const ObserverConfig &obs)
-    {
-        observers_.configure(obs);
-    }
+    void attachObservers(const ObserverConfig &obs);
 
     /** Retired-instruction stream digest (0 until digests enabled). */
     std::uint64_t retireDigest() const
@@ -138,37 +154,49 @@ class TraceEngine
     {
         batchLen_ = len == 0 ? 1 : len;
         batch_.reserve(batchLen_);
+        steps_.reserve(batchLen_);
     }
 
   private:
-    /** The replay loop, monomorphized over the prefetcher type. */
+    /** Everything but the instruction source. */
+    TraceEngine(const SystemConfig &cfg,
+                std::unique_ptr<Prefetcher> prefetcher);
+
+    /** The loop, monomorphized over the prefetcher type. */
     template <typename P>
     void advanceWith(P &prefetcher, InstCount n);
 
-    /** Run one decoded batch through the per-instruction stages. */
+    /**
+     * The back stage over steps_. @p observed is the batch the steps
+     * came from when observers are attached (they fold whole records),
+     * else nullptr.
+     */
     template <typename P>
-    void stepBatch(P &prefetcher, const RecordBatch &batch);
+    void backStage(P &prefetcher, const RecordBatch *observed);
+
+    /** Apply one instruction's share of the prefetch drain. */
+    template <typename P>
+    void drainFills(P &prefetcher, bool observing);
+
+    /** Cumulative counters (see run()). */
+    RunCounters counters() const;
 
     SystemConfig cfg_;
-    Executor exec_;
+    /** Live: the executor; replay: the recording's reader. */
+    std::optional<Executor> exec_;
+    std::optional<FrontRecording::Reader> replay_;
     Cache l1i_;
     Frontend frontend_;
     std::unique_ptr<Prefetcher> prefetcher_;
 
     RecordBatch batch_;
     std::uint32_t batchLen_ = recordBatchLen;
+    std::vector<FrontStep> steps_;
     std::vector<FetchAccess> events_;
     std::vector<Addr> drain_;
 
     /** Digests + event recording (opt-in; detached by default). */
     EngineObservers observers_;
-    /**
-     * Per-instruction interrupt count for windowed counter samples,
-     * tracked from trap-level transitions while observing (the
-     * executor's own counter advances a whole decoded batch early).
-     */
-    std::uint64_t obsInterrupts_ = 0;
-    std::uint8_t obsPrevTl_ = 0;
 };
 
 } // namespace pifetch

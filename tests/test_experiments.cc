@@ -86,10 +86,10 @@ TEST(Fig8Left, NeighbourAccessesSkewForward)
 
 TEST(Fig8Right, CoverageGrowsWithRegionSize)
 {
-    const Program prog = db2.buildProgram();
+    const FrontRecording rec = recordWorkload(db2, smallBudget());
     std::vector<Fig8RightPoint> points;
     for (const RegionGeometry &g : fig8Geometries)
-        points.push_back(runFig8Right(db2, prog, smallBudget(), g));
+        points.push_back(runFig8Right(rec, g));
     ASSERT_EQ(points.size(), 5u);
     EXPECT_EQ(points.front().regionBlocks, 1u);
     EXPECT_EQ(points.back().regionBlocks, 8u);
@@ -116,10 +116,10 @@ TEST(Fig9Left, LongStreamsContribute)
 
 TEST(Fig9Right, CoverageGrowsWithHistorySize)
 {
-    const Program prog = db2.buildProgram();
+    const FrontRecording rec = recordWorkload(db2, smallBudget());
     std::vector<double> coverage;
     for (std::uint64_t regions : {2048, 32768, 524288})
-        coverage.push_back(runFig9Right(db2, prog, smallBudget(), regions));
+        coverage.push_back(runFig9Right(rec, regions));
     // Monotone within tolerance (Section 5.4).
     EXPECT_GE(coverage[1], coverage[0] - 0.01);
     EXPECT_GE(coverage[2], coverage[1] - 0.01);
@@ -128,9 +128,9 @@ TEST(Fig9Right, CoverageGrowsWithHistorySize)
 
 TEST(Fig10Coverage, PifWinsAndIsNearPerfect)
 {
-    const Program prog = db2.buildProgram();
+    const FrontRecording rec = recordWorkload(db2, smallBudget());
     const auto misses = [&](PrefetcherKind k) {
-        return runFig10Coverage(db2, prog, smallBudget(), k);
+        return runFig10Coverage(rec, k);
     };
     const std::uint64_t base = misses(PrefetcherKind::None);
     const double nl = missCoverage(base, misses(PrefetcherKind::NextLine));
@@ -145,9 +145,9 @@ TEST(Fig10Coverage, PifWinsAndIsNearPerfect)
 
 TEST(Fig10Speedup, OrderingAndPerfectBound)
 {
-    const Program prog = db2.buildProgram();
+    const FrontRecording rec = recordWorkload(db2, smallBudget());
     const auto uipc = [&](PrefetcherKind k) {
-        return runFig10Speedup(db2, prog, smallBudget(), k);
+        return runFig10Speedup(rec, k);
     };
     const double base = uipc(PrefetcherKind::None);
     const double none = base / base;

@@ -102,9 +102,12 @@ TEST(SharedPifStudy, SharedBeatsEqualAggregatePrivate)
     // core serve all of them.
     const WorkloadRef db2 = ServerWorkload::OltpDb2;
     const Program prog = db2.buildProgram();
+    std::vector<FrontRecording> cores;
+    for (unsigned core = 0; core < 4; ++core)
+        cores.push_back(
+            recordSharedPifCore(db2, prog, core, 200'000, 300'000));
     const auto arm = [&](bool shared) {
-        return runSharedPifStudy(db2, prog, 4, 8 * 1024, shared, 200'000,
-                                 300'000);
+        return runSharedPifStudy(cores, 8 * 1024, shared);
     };
     const SharedPifStudyResult priv = arm(false);
     const SharedPifStudyResult shared = arm(true);
