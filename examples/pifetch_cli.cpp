@@ -9,8 +9,8 @@
  *       Run one experiment; print the human report and optionally
  *       write structured output.
  *   pifetch sweep <experiment> --param key=v1,v2[,...] [options]
- *       Fan a parameter grid (cartesian product) over the worker
- *       pool; one experiment run per grid point.
+ *       Run a parameter grid (cartesian product; one experiment run
+ *       per point, the points fanned over the worker pool).
  *   pifetch golden [--list | <experiment>]
  *       Canonical golden-fixture JSON (see scripts/regold.sh).
  *   pifetch check [options]
@@ -61,14 +61,12 @@
 #include <vector>
 
 #include "check/checker.hh"
-#include "common/parallel.hh"
 #include "lint/driver.hh"
 #include "query/event_store.hh"
 #include "query/query.hh"
 #include "sim/cycle_engine.hh"
 #include "sim/registry.hh"
 #include "sim/trace_engine.hh"
-#include "sweep/runner.hh"
 
 using namespace pifetch;
 
@@ -106,18 +104,6 @@ usage(std::FILE *out)
         "  --seed N       master seed\n"
         "  --set k=v      config override (repeatable)\n"
         "  --quiet        no human-readable report\n"
-        "\n"
-        "sweep-only options (sharded service, docs/cli.md):\n"
-        "  --shards N     partition the grid over N child processes\n"
-        "                 (needs --dir; at most --threads run at once)\n"
-        "  --dir D        sweep directory (manifest, per-shard point\n"
-        "                 files + completion journal, merged.json)\n"
-        "  --resume       skip journaled-complete points after a\n"
-        "                 crash (same command line as the first run)\n"
-        "  --shard K      worker mode: run one shard of an existing\n"
-        "                 manifest (used by the scheduler)\n"
-        "  --merge        assemble merged.json from completed shards\n"
-        "                 without running anything\n"
         "\n"
         "check options:\n"
         "  --seeds N      scenarios to fuzz (default 25)\n"
@@ -184,8 +170,8 @@ struct CliOptions
     bool quiet = false;
     /** --seed or --set appeared (invalid for analysis-only specs). */
     bool configTouched = false;
-    /** sweep only: key -> list of values. */
-    std::vector<std::pair<std::string, std::vector<std::string>>> grid;
+    /** sweep only: one axis per --param, in command-line order. */
+    std::vector<SweepAxis> grid;
 };
 
 bool
@@ -385,8 +371,8 @@ parseOptions(int argc, char **argv, int from, bool allow_param,
                     cur += *p;
                 }
             }
-            opts.grid.emplace_back(std::string(v, eq),
-                                   std::move(values));
+            opts.grid.push_back(
+                SweepAxis{std::string(v, eq), std::move(values)});
         } else if (arg == "--quiet") {
             opts.quiet = true;
         } else {
@@ -507,33 +493,6 @@ cmdRun(int argc, char **argv)
     return emitOutputs(opts, doc) ? 0 : 1;
 }
 
-/** Sweep-service options split off before the common option parser. */
-struct SweepServiceOptions
-{
-    std::string dir;
-    std::uint64_t shards = 0;
-    bool shardsSet = false;
-    std::uint64_t shard = 0;
-    bool shardSet = false;
-    bool resume = false;
-    bool merge = false;
-    /** CLI-form base inputs captured for the manifest. */
-    std::vector<SweepWorkloadRef> workloads;
-    std::vector<std::pair<std::string, std::string>> overrides;
-    std::optional<std::uint64_t> warmup;
-    std::optional<std::uint64_t> measure;
-};
-
-/** Options of the common parser that consume a value. */
-bool
-sweepValueOption(const std::string &arg)
-{
-    return arg == "--workload" || arg == "--workload-file" ||
-           arg == "--json" || arg == "--csv" || arg == "--threads" ||
-           arg == "--warmup" || arg == "--measure" ||
-           arg == "--seed" || arg == "--set" || arg == "--param";
-}
-
 /** Per-point report for an assembled sweep document. */
 void
 printSweepReport(const ResultValue &doc)
@@ -554,166 +513,24 @@ printSweepReport(const ResultValue &doc)
     }
 }
 
-/** Emit the merged/in-process sweep document per the CLI options. */
-int
-emitSweepDoc(const CliOptions &opts, const ResultValue &doc)
-{
-    if (wantReport(opts))
-        printSweepReport(doc);
-    if (!opts.jsonPath.empty() &&
-        !writeOutput(opts.jsonPath, toJson(doc, 2) + "\n"))
-        return 1;
-    return 0;
-}
-
 int
 cmdSweep(int argc, char **argv)
 {
-    // Split the sweep-service options (--dir/--shards/--shard/
-    // --resume/--merge) from the common run options, capturing the
-    // raw workload / override / budget inputs for the manifest as
-    // they pass through.
-    SweepServiceOptions svc;
-    std::vector<char *> rest = {argv[0], argv[1]};
-    for (int i = 2; i < argc; ++i) {
-        const std::string arg = argv[i];
-        const auto next = [&]() -> const char * {
-            if (i + 1 >= argc) {
-                std::fprintf(stderr,
-                             "pifetch sweep: %s needs a value\n",
-                             arg.c_str());
-                return nullptr;
-            }
-            return argv[++i];
-        };
-        if (arg == "--dir") {
-            const char *v = next();
-            if (!v)
-                return 2;
-            svc.dir = v;
-        } else if (arg == "--shards" || arg == "--shard") {
-            const char *v = next();
-            std::uint64_t n = 0;
-            // The manifest's cap; wider values would also truncate.
-            if (!v || !parseU64Arg(v, n) || n > (1u << 20)) {
-                std::fprintf(stderr,
-                             "pifetch sweep: bad value '%s' for %s\n",
-                             v ? v : "<missing>", arg.c_str());
-                return 2;
-            }
-            if (arg == "--shards") {
-                svc.shards = n;
-                svc.shardsSet = true;
-            } else {
-                svc.shard = n;
-                svc.shardSet = true;
-            }
-        } else if (arg == "--resume") {
-            svc.resume = true;
-        } else if (arg == "--merge") {
-            svc.merge = true;
-        } else if (sweepValueOption(arg)) {
-            const char *v = next();
-            if (!v)
-                return 2;
-            if (arg == "--workload") {
-                svc.workloads.push_back({v, false});
-            } else if (arg == "--workload-file") {
-                svc.workloads.push_back({v, true});
-            } else if (arg == "--seed") {
-                svc.overrides.emplace_back("seed", v);
-            } else if (arg == "--set") {
-                if (const char *eq = std::strchr(v, '='))
-                    svc.overrides.emplace_back(std::string(v, eq),
-                                               eq + 1);
-            } else if (arg == "--warmup" || arg == "--measure") {
-                std::uint64_t n = 0;
-                if (parseU64Arg(v, n))
-                    (arg == "--warmup" ? svc.warmup
-                                       : svc.measure) = n;
-            }
-            rest.push_back(argv[i - 1]);
-            rest.push_back(argv[i]);
-        } else {
-            rest.push_back(argv[i]);
-        }
-    }
-    const int restc = static_cast<int>(rest.size());
-
-    if (svc.shardsSet && svc.shards == 0) {
-        std::fprintf(stderr, "pifetch sweep: --shards must be >= 1\n");
-        return 2;
-    }
-    if ((svc.shardsSet || svc.shardSet || svc.merge) &&
-        svc.dir.empty()) {
-        std::fprintf(stderr,
-                     "pifetch sweep: --shards/--shard/--merge need "
-                     "--dir\n");
-        return 2;
-    }
-
-    // Worker mode: everything comes from the on-disk manifest; only
-    // the shard ordinal (and --resume) arrive on the command line.
-    if (svc.shardSet) {
-        if (restc > 2 || svc.shardsSet || svc.merge) {
-            std::fprintf(stderr,
-                         "pifetch sweep: --shard takes only --dir "
-                         "and --resume\n");
-            return 2;
-        }
-        std::string err;
-        const auto m = loadManifest(sweepManifestPath(svc.dir), &err);
-        if (!m) {
-            std::fprintf(stderr, "pifetch sweep: %s\n", err.c_str());
-            return 2;
-        }
-        if (!runSweepShard(svc.dir, *m,
-                           static_cast<unsigned>(svc.shard),
-                           svc.resume, &err)) {
-            std::fprintf(stderr, "pifetch sweep: %s\n", err.c_str());
-            return 1;
-        }
-        return 0;
-    }
-
-    // Merge mode: assemble <dir>/merged.json from completed shards
-    // without running anything.
-    if (svc.merge) {
-        CliOptions opts;
-        if (!parseOptions(restc, rest.data(), 2, false, opts))
-            return 2;
-        std::string err;
-        const auto m = loadManifest(sweepManifestPath(svc.dir), &err);
-        if (!m) {
-            std::fprintf(stderr, "pifetch sweep: %s\n", err.c_str());
-            return 2;
-        }
-        const auto doc = mergeShardedSweep(svc.dir, *m, &err);
-        if (!doc) {
-            std::fprintf(stderr, "pifetch sweep: %s\n", err.c_str());
-            return 1;
-        }
-        if (!writeOutput(sweepMergedPath(svc.dir),
-                         toJson(*doc, 2) + "\n"))
-            return 1;
-        return emitSweepDoc(opts, *doc);
-    }
-
-    if (restc < 3) {
+    if (argc < 3) {
         std::fprintf(stderr,
                      "pifetch sweep: missing experiment name\n");
         return 2;
     }
-    const ExperimentSpec *spec = findExperiment(rest[2]);
+    const ExperimentSpec *spec = findExperiment(argv[2]);
     if (!spec) {
         std::fprintf(stderr,
                      "pifetch: unknown experiment '%s' "
-                     "(try `pifetch list`)\n", rest[2]);
+                     "(try `pifetch list`)\n", argv[2]);
         return 2;
     }
     CliOptions opts;
     opts.run.budget = spec->defaultBudget;
-    if (!parseOptions(restc, rest.data(), 3, true, opts))
+    if (!parseOptions(argc, argv, 3, true, opts))
         return 2;
     if (opts.grid.empty()) {
         std::fprintf(stderr,
@@ -736,95 +553,20 @@ cmdSweep(int argc, char **argv)
                      "--json\n");
         return 2;
     }
-
-    // The manifest pins the whole sweep; in-process and sharded runs
-    // both execute through it (runSweepPoint / assembleSweepDoc), so
-    // their documents agree byte for byte.
-    SweepManifest manifest;
-    manifest.experiment = spec->name;
-    for (const auto &[key, values] : opts.grid)
-        manifest.axes.push_back(SweepAxis{key, values});
-    manifest.shards = svc.shardsSet
-                          ? static_cast<unsigned>(svc.shards)
-                          : 1;
-    manifest.workloads = svc.workloads;
-    manifest.overrides = svc.overrides;
-    manifest.warmup = svc.warmup;
-    manifest.measure = svc.measure;
-    // Every point is checked up front, as a shard worker checks the
-    // manifest it loads, so a typo fails before hours of simulation.
-    if (const auto err = validateSweepGrid(manifest, opts.run.cfg)) {
+    // Every point is checked up front, so a typo fails before hours
+    // of simulation.
+    if (const auto err = validateSweepGrid(opts.grid, opts.run.cfg)) {
         std::fprintf(stderr, "pifetch sweep: %s\n", err->c_str());
         return 2;
     }
 
-    std::string err;
-    const std::uint64_t points = sweepPointCount(manifest);
-
-    if (svc.shardsSet) {
-        if (svc.resume) {
-            // A resume must be the same sweep: the command line is
-            // re-pinned and compared byte for byte against the
-            // manifest the crashed run wrote.
-            const auto on_disk =
-                loadManifest(sweepManifestPath(svc.dir), &err);
-            if (!on_disk) {
-                std::fprintf(stderr, "pifetch sweep: %s (run without "
-                             "--resume to start fresh)\n",
-                             err.c_str());
-                return 2;
-            }
-            if (manifestJson(*on_disk) != manifestJson(manifest)) {
-                std::fprintf(stderr,
-                             "pifetch sweep: %s pins a different "
-                             "sweep than this command line; --resume "
-                             "needs the original arguments\n",
-                             sweepManifestPath(svc.dir).c_str());
-                return 2;
-            }
-        } else if (!initSweepDir(svc.dir, manifest, &err)) {
-            std::fprintf(stderr, "pifetch sweep: %s\n", err.c_str());
-            return 1;
-        }
-        const std::string exe = selfExePath();
-        if (exe.empty()) {
-            std::fprintf(stderr,
-                         "pifetch sweep: cannot resolve own "
-                         "executable path for shard workers\n");
-            return 1;
-        }
-        if (!runShardedSweep(svc.dir, manifest, exe,
-                             opts.run.cfg.threads, svc.resume,
-                             &err)) {
-            std::fprintf(stderr, "pifetch sweep: %s\n", err.c_str());
-            return 1;
-        }
-        const auto doc = mergeShardedSweep(svc.dir, manifest, &err);
-        if (!doc) {
-            std::fprintf(stderr, "pifetch sweep: %s\n", err.c_str());
-            return 1;
-        }
-        if (!writeOutput(sweepMergedPath(svc.dir),
-                         toJson(*doc, 2) + "\n"))
-            return 1;
-        return emitSweepDoc(opts, *doc);
-    }
-
-    // In-process: grid points fan over the worker pool; each point
-    // runs serially inside (threads = 1) so the fan-out is the only
-    // parallelism.
-    const auto base = sweepBaseOptions(*spec, manifest, &err);
-    if (!base) {
-        std::fprintf(stderr, "pifetch sweep: %s\n", err.c_str());
-        return 2;
-    }
-    std::vector<ResultValue> docs(points);
-    parallelFor(opts.run.cfg.threads, points, [&](std::uint64_t p) {
-        docs[p] = runSweepPoint(*spec, *base, manifest, p);
-    });
-    const ResultValue doc = assembleSweepDoc(manifest,
-                                             std::move(docs));
-    return emitSweepDoc(opts, doc);
+    const ResultValue doc = runSweep(*spec, opts.run, opts.grid);
+    if (wantReport(opts))
+        printSweepReport(doc);
+    if (!opts.jsonPath.empty() &&
+        !writeOutput(opts.jsonPath, toJson(doc, 2) + "\n"))
+        return 1;
+    return 0;
 }
 
 int

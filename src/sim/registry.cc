@@ -19,6 +19,7 @@
 #include <cstdlib>
 #include <limits>
 #include <mutex>
+#include <set>
 #include <type_traits>
 
 #include "common/parallel.hh"
@@ -1075,6 +1076,103 @@ gitDescribe()
 #else
     return "unknown";
 #endif
+}
+
+// ---------------------------------------------------- parameter sweeps
+
+std::uint64_t
+sweepPointCount(const std::vector<SweepAxis> &axes)
+{
+    if (axes.empty())
+        return 0;
+    std::uint64_t points = 1;
+    for (const SweepAxis &axis : axes)
+        points *= axis.values.size();
+    return points;
+}
+
+std::vector<std::pair<std::string, std::string>>
+sweepPointParams(const std::vector<SweepAxis> &axes, std::uint64_t p)
+{
+    // Mixed-radix decode, last axis fastest: peel digits from the
+    // innermost axis outward, then restore declaration order.
+    std::vector<std::pair<std::string, std::string>> params;
+    params.reserve(axes.size());
+    for (auto it = axes.rbegin(); it != axes.rend(); ++it) {
+        const std::uint64_t n = it->values.size();
+        params.emplace_back(it->key, it->values[p % n]);
+        p /= n;
+    }
+    std::reverse(params.begin(), params.end());
+    return params;
+}
+
+std::optional<std::string>
+validateSweepGrid(const std::vector<SweepAxis> &axes,
+                  const SystemConfig &base)
+{
+    std::set<std::string> keys;
+    std::uint64_t points = 1;
+    for (const SweepAxis &axis : axes) {
+        if (axis.key == "threads") {
+            return std::string("'threads' is not sweepable (results "
+                               "are thread-invariant); use --threads "
+                               "for the fan-out width");
+        }
+        if (!keys.insert(axis.key).second)
+            return "sweep axis " + axis.key + " given twice";
+        // Bounded before each multiply, so the product cannot wrap and
+        // checking every point below stays cheap.
+        points *= axis.values.size();
+        if (points > (std::uint64_t{1} << 20))
+            return std::string("sweep grid above 2^20 points");
+    }
+    for (std::uint64_t p = 0; p < points; ++p) {
+        SystemConfig cfg = base;
+        std::string label;
+        for (const auto &[key, value] : sweepPointParams(axes, p)) {
+            if (!applyConfigOverride(cfg, key, value))
+                return "bad sweep value " + key + "=" + value;
+            label += (label.empty() ? "" : " ") + key + "=" + value;
+        }
+        if (const auto err = validateSystemConfig(cfg))
+            return "sweep point " + label + ": " + *err;
+    }
+    return std::nullopt;
+}
+
+ResultValue
+runSweep(const ExperimentSpec &spec, const RunOptions &base,
+         const std::vector<SweepAxis> &axes)
+{
+    // Each point runs serially, so the fan-out over points is the only
+    // parallelism and every run lands in its point's slot.
+    const std::uint64_t points = sweepPointCount(axes);
+    std::vector<ResultValue> entries(points);
+    parallelFor(base.cfg.threads, points, [&](std::uint64_t p) {
+        RunOptions point = base;
+        point.cfg.threads = 1;
+        ResultValue params = ResultValue::object();
+        for (const auto &[key, value] : sweepPointParams(axes, p)) {
+            if (!applyConfigOverride(point.cfg, key, value))
+                panic("sweep point " + key + "=" + value +
+                      " skipped validateSweepGrid");
+            params.set(key, value);
+        }
+        entries[p] = ResultValue::object();
+        entries[p].set("params", std::move(params));
+        entries[p].set("result", runExperiment(spec, point));
+    });
+
+    ResultValue runs = ResultValue::array();
+    for (ResultValue &entry : entries)
+        runs.push(std::move(entry));
+    ResultValue doc = ResultValue::object();
+    doc.set("experiment", spec.name);
+    doc.set("sweep", true);
+    doc.set("points", points);
+    doc.set("runs", std::move(runs));
+    return doc;
 }
 
 // ----------------------------------------------------------- goldens

@@ -26,9 +26,11 @@
 
 #pragma once
 
+#include <cstdint>
 #include <functional>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/results.hh"
@@ -117,6 +119,48 @@ bool parseU64Value(const std::string &s, std::uint64_t &out);
 
 /** `git describe` of the build, or "unknown" outside a git checkout. */
 std::string gitDescribe();
+
+// ------------------------------------------------------ parameter sweeps
+
+/** One sweep axis: a config-override key and its value list. */
+struct SweepAxis
+{
+    std::string key;
+    std::vector<std::string> values;
+};
+
+/** Total grid points (product of the axis sizes; 0 without axes). */
+std::uint64_t sweepPointCount(const std::vector<SweepAxis> &axes);
+
+/**
+ * Parameter assignment of grid point @p p: one (key, value) pair per
+ * axis, first axis outermost, last axis fastest. @p p must be
+ * < sweepPointCount(@p axes).
+ */
+std::vector<std::pair<std::string, std::string>>
+sweepPointParams(const std::vector<SweepAxis> &axes, std::uint64_t p);
+
+/**
+ * Check a sweep grid against @p base, the configuration every point
+ * starts from: no key given twice (the later override would win under
+ * both labels); no `threads` axis (results are thread-invariant and
+ * each point runs serially); every value must apply to its key; every
+ * point's configuration must pass validateSystemConfig(); at most 2^20
+ * points. Returns nullopt when valid, else the first problem.
+ */
+std::optional<std::string>
+validateSweepGrid(const std::vector<SweepAxis> &axes,
+                  const SystemConfig &base);
+
+/**
+ * Run every point of a grid validateSweepGrid() accepted: @p base plus
+ * the point's overrides, each point on one thread, the points fanned
+ * over `base.cfg.threads` lanes. Returns
+ * {"experiment", "sweep": true, "points", "runs": [{"params",
+ * "result"}]}, the same bytes at any thread count.
+ */
+ResultValue runSweep(const ExperimentSpec &spec, const RunOptions &base,
+                     const std::vector<SweepAxis> &axes);
 
 // ------------------------------------------------- golden snapshots
 

@@ -15,6 +15,7 @@
  *     EXPECT_DOUBLE_EQ, FAIL(), streamed messages (`<< "context"`)
  *   - EXPECT_DEATH / EXPECT_EXIT with ::testing::ExitedWithCode
  *     (fork-based, POSIX only)
+ *   - EXPECT_THROW / ASSERT_THROW
  *   - ::testing::TempDir(), --gtest_filter=, --gtest_list_tests
  *
  * Notable simplifications vs. real GoogleTest: tests run in
@@ -320,6 +321,29 @@ checkExit(Fn &&fn, Pred pred, const char *pattern)
     if (!stderrMatches(out, pattern))
         return deathFailure("Exit message mismatch", out, pattern);
     return {};
+}
+
+// -------------------------------------------------------- exception tests
+
+/** Passes when @p fn throws an exception of type (or derived from) E. */
+template <typename E, typename Fn>
+CmpResult
+checkThrow(Fn &&fn, const char *stmt, const char *type)
+{
+    const char *actual = "it throws nothing";
+    try {
+        fn();
+    } catch (const E &) {
+        return {};
+    } catch (...) {
+        actual = "it throws a different type";
+    }
+    CmpResult r;
+    r.ok = false;
+    r.message = std::string("Expected: ") + stmt +
+                " throws an exception of type " + type + ".\n  Actual: " +
+                actual + ".";
+    return r;
 }
 
 // ------------------------------------------------------ filter + main loop
@@ -804,6 +828,11 @@ class ScopedTraceFrame
     MINITEST_CMP_CALL_(checkDeath([&]() { stmt; }, (pattern)), return)
 #define EXPECT_EXIT(stmt, predicate, pattern)                                 \
     MINITEST_CMP_CALL_(checkExit([&]() { stmt; }, (predicate), (pattern)), )
+#define EXPECT_THROW(stmt, type)                                              \
+    MINITEST_CMP_CALL_(checkThrow<type>([&]() { stmt; }, #stmt, #type), )
+#define ASSERT_THROW(stmt, type)                                              \
+    MINITEST_CMP_CALL_(checkThrow<type>([&]() { stmt; }, #stmt, #type),      \
+                       return)
 
 #define FAIL()                                                                \
     return ::testing::internal::AssertHelper(__FILE__, __LINE__, "Failed") =  \

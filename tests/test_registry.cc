@@ -1,8 +1,8 @@
 /**
  * @file
  * Experiment-registry tests: lookup, document shape, config
- * overrides, and the thread-count invariance the CLI and golden
- * suite rely on.
+ * overrides, parameter sweeps, and the thread-count invariance the
+ * CLI and golden suite rely on.
  */
 
 #include <gtest/gtest.h>
@@ -179,6 +179,112 @@ TEST(ConfigOverrides, ValidateRejectsWhatTheSimulatorCannotRun)
         ASSERT_TRUE(applyConfigOverride(cfg, c.key, c.value)) << c.key;
         EXPECT_EQ(validateSystemConfig(cfg).has_value(), !c.valid)
             << c.key << "=" << c.value;
+    }
+}
+
+TEST(Sweep, PointParamsEnumerateFirstAxisOutermost)
+{
+    const std::vector<SweepAxis> axes = {
+        {"pif.blocksBefore", {"1", "2", "3"}},
+        {"pif.blocksAfter", {"2", "4"}},
+        {"l1i.assoc", {"2", "4"}}};
+    ASSERT_EQ(sweepPointCount(axes), 12u);
+    EXPECT_EQ(sweepPointCount({}), 0u);
+    // Manual cartesian enumeration, last axis fastest.
+    std::uint64_t p = 0;
+    for (const std::string &a : axes[0].values) {
+        for (const std::string &b : axes[1].values) {
+            for (const std::string &c : axes[2].values) {
+                const std::vector<std::pair<std::string, std::string>>
+                    want = {{"pif.blocksBefore", a},
+                            {"pif.blocksAfter", b},
+                            {"l1i.assoc", c}};
+                EXPECT_EQ(sweepPointParams(axes, p), want)
+                    << "point " << p;
+                ++p;
+            }
+        }
+    }
+}
+
+TEST(Sweep, ValidateGridRefusesPointsThatWouldNotRunAsLabelled)
+{
+    const SystemConfig base;
+    EXPECT_FALSE(validateSweepGrid({{"pif.blocksBefore", {"1", "2"}},
+                                    {"pif.blocksAfter", {"2", "4"}}},
+                                   base)
+                     .has_value());
+
+    const std::vector<std::string> ones(1025, "1");
+    const struct
+    {
+        std::vector<SweepAxis> axes;
+        const char *why;
+    } cases[] = {
+        // An unparsable value would run the default under its label.
+        {{{"pif.blocksBefore", {"1", "zzz"}}}, "pif.blocksBefore=zzz"},
+        // A point the simulator cannot run would stop the sweep midway.
+        {{{"pif.numSabs", {"1", "0"}}}, "pif.numSabs=0"},
+        {{{"threads", {"1", "2"}}}, "threads"},
+        // The later override wins, so the first axis would vanish.
+        {{{"pif.numSabs", {"1", "2"}}, {"pif.numSabs", {"4", "8"}}},
+         "sweep axis pif.numSabs given twice"},
+        {{{"pif.blocksBefore", ones},
+          {"pif.blocksAfter", {ones.begin(), ones.end() - 1}}},
+         "above 2^20 points"},
+    };
+    for (const auto &c : cases) {
+        const auto err = validateSweepGrid(c.axes, base);
+        ASSERT_TRUE(err.has_value()) << c.why;
+        EXPECT_NE(err->find(c.why), std::string::npos) << *err;
+    }
+
+    // Exactly 2^20 points is within the cap: the points are checked.
+    const auto at_cap = validateSweepGrid(
+        {{"pif.blocksBefore", std::vector<std::string>(1024, "zzz")},
+         {"pif.blocksAfter", std::vector<std::string>(1024, "1")}},
+        base);
+    ASSERT_TRUE(at_cap.has_value());
+    EXPECT_NE(at_cap->find("bad sweep value"), std::string::npos)
+        << *at_cap;
+}
+
+TEST(Sweep, DocumentIsThreadInvariantAndEachRunIsItsPoint)
+{
+    const ExperimentSpec *spec = findExperiment("fig10-coverage");
+    ASSERT_NE(spec, nullptr);
+    const std::vector<SweepAxis> axes = {
+        {"pif.blocksBefore", {"1", "2"}}, {"pif.blocksAfter", {"2", "4"}}};
+    RunOptions base = tinyOptions();
+    base.budget = ExperimentBudget{20'000, 50'000};
+    ASSERT_FALSE(validateSweepGrid(axes, base.cfg).has_value());
+
+    base.cfg.threads = 1;
+    const ResultValue doc = runSweep(*spec, base, axes);
+    base.cfg.threads = 4;
+    EXPECT_EQ(toJson(runSweep(*spec, base, axes), 2), toJson(doc, 2));
+
+    EXPECT_EQ(doc.find("experiment")->str(), "fig10-coverage");
+    EXPECT_EQ(doc.find("points")->uintValue(), 4u);
+    const ResultValue *runs = doc.find("runs");
+    ASSERT_NE(runs, nullptr);
+    ASSERT_EQ(runs->size(), 4u);
+    for (std::uint64_t p = 0; p < 4; ++p) {
+        const auto params = sweepPointParams(axes, p);
+        RunOptions point = base;
+        point.cfg.threads = 1;
+        for (const auto &[key, value] : params)
+            ASSERT_TRUE(applyConfigOverride(point.cfg, key, value));
+        const ResultValue &run = runs->at(p);
+        EXPECT_EQ(toJson(*run.find("result")),
+                  toJson(runExperiment(*spec, point)))
+            << "point " << p;
+        const ResultValue *labels = run.find("params");
+        ASSERT_EQ(labels->size(), params.size());
+        for (std::size_t j = 0; j < params.size(); ++j) {
+            EXPECT_EQ(labels->member(j).first, params[j].first);
+            EXPECT_EQ(labels->member(j).second.str(), params[j].second);
+        }
     }
 }
 
