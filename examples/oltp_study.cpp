@@ -8,14 +8,12 @@
  * a miniature of the paper's Section 5.5/5.6 story.
  */
 
-#include <chrono>
 #include <cstdio>
 #include <vector>
 
 #include "common/parallel.hh"
 #include "sim/cycle_engine.hh"
 #include "sim/experiment.hh"
-#include "sim/multicore.hh"
 #include "sim/workloads.hh"
 
 using namespace pifetch;
@@ -24,8 +22,8 @@ int
 main()
 {
     // threads == 0 resolves to PIFETCH_THREADS or the hardware count;
-    // every simulated core runs on its own worker with identical
-    // results at any thread count.
+    // each engine run is one pool task, with identical results at any
+    // thread count.
     const SystemConfig cfg;
     std::printf("host worker threads: %u "
                 "(override with PIFETCH_THREADS)\n\n",
@@ -76,24 +74,5 @@ main()
         std::printf("\n");
     }
 
-    // The paper's actual methodology: a 16-core CMP, results averaged
-    // across the cores. Each core is an independent engine, so the
-    // multicore runner spreads them over the worker pool.
-    std::printf("=== 16-core CMP (PIF, DB2), parallel runner ===\n");
-    // lint:allow(D-clock): demo prints wall-clock speed, not results
-    const auto t0 = std::chrono::steady_clock::now();
-    const auto mc = runMulticoreTrace(ServerWorkload::OltpDb2,
-                                      PrefetcherKind::Pif,
-                                      cfg.numCores, 250'000, 1'000'000,
-                                      cfg);
-    const double ms = std::chrono::duration<double, std::milli>(
-        // lint:allow(D-clock): demo prints wall-clock speed, not results
-        std::chrono::steady_clock::now() - t0).count();
-    std::printf("  mean miss ratio %.4f, mean PIF coverage %.2f%%, "
-                "%llu total misses\n",
-                mc.meanMissRatio(), 100.0 * mc.meanPifCoverage(),
-                static_cast<unsigned long long>(mc.totalMisses()));
-    std::printf("  %u cores on %u threads in %.0f ms\n",
-                cfg.numCores, resolveThreads(cfg.threads), ms);
     return 0;
 }

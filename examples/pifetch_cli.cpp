@@ -432,8 +432,13 @@ emitOutputs(const CliOptions &opts, const ResultValue &doc)
 }
 
 int
-cmdList()
+cmdList(int argc, char **argv)
 {
+    if (argc > 2) {
+        std::fprintf(stderr, "pifetch list: unexpected argument '%s'\n",
+                     argv[2]);
+        return 2;
+    }
     std::printf("%-16s %s\n", "name", "description");
     for (const ExperimentSpec &spec : experimentRegistry())
         std::printf("%-16s %s\n", spec.name.c_str(),
@@ -572,16 +577,22 @@ cmdSweep(int argc, char **argv)
 int
 cmdGolden(int argc, char **argv)
 {
-    if (argc >= 3 && std::strcmp(argv[2], "--list") == 0) {
-        for (const GoldenEntry &e : goldenSuite())
-            std::printf("%s\n", goldenFixtureName(e).c_str());
-        return 0;
-    }
     if (argc < 3) {
         std::fprintf(stderr,
                      "pifetch golden: expected --list or a "
                      "fixture name\n");
         return 2;
+    }
+    if (argc > 3) {
+        std::fprintf(stderr,
+                     "pifetch golden: unexpected argument '%s'\n",
+                     argv[3]);
+        return 2;
+    }
+    if (std::strcmp(argv[2], "--list") == 0) {
+        for (const GoldenEntry &e : goldenSuite())
+            std::printf("%s\n", goldenFixtureName(e).c_str());
+        return 0;
     }
     for (const GoldenEntry &e : goldenSuite()) {
         if (goldenFixtureName(e) == argv[2]) {
@@ -1284,7 +1295,7 @@ dispatch(int argc, char **argv)
         return usage(stderr);
     const std::string cmd = argv[1];
     if (cmd == "list")
-        return cmdList();
+        return cmdList(argc, argv);
     if (cmd == "run")
         return cmdRun(argc, argv);
     if (cmd == "sweep")

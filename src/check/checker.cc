@@ -12,7 +12,8 @@
 #include <type_traits>
 
 #include "common/parallel.hh"
-#include "pif/shared_pif.hh"
+#include "pif/pif_prefetcher.hh"
+#include "sim/multicore.hh"
 #include "sim/workloads.hh"
 
 namespace pifetch {
@@ -106,9 +107,9 @@ loweredOf(const Scenario &sc)
 }
 
 /**
- * The multicore differential: @p cores independent engines fanned
- * over @p threads lanes (the exact construction pattern of
- * runMulticoreTrace, but over arbitrary fuzzed params).
+ * The multicore differential: sc.cores independent engines, one per
+ * simulated core with its own program instance and seed, fanned over
+ * @p threads lanes.
  */
 std::vector<TraceRunResult>
 multicoreRun(const Scenario &sc, unsigned threads)
@@ -127,8 +128,8 @@ multicoreRun(const Scenario &sc, unsigned threads)
             prog = WorkloadGenerator::build(params);
             exec = executorConfigFor(params, core);
         }
-        SystemConfig cfg = sc.cfg;
-        cfg.seed = sc.cfg.seed + core * 7919;
+        const SystemConfig cfg =
+            coreConfig(sc.cfg, static_cast<unsigned>(core));
         TraceEngine engine(cfg, prog, exec,
                            makePrefetcher(sc.kind, cfg));
         ObserverConfig obs;
@@ -150,38 +151,27 @@ struct SharedPifRun
 
 /**
  * Two cores of the same program interleaving through one shared PIF
- * storage pool (the Section 4 shared-storage path, serial by design).
+ * history store (the Section 4 shared-storage path, serial by design).
  */
 SharedPifRun
 sharedPifRun(const Scenario &sc, const LoweredWorkload *lw,
              const Program &prog)
 {
     constexpr unsigned cores = 2;
-    auto storage = std::make_shared<SharedPifStorage>(sc.cfg.pif);
+    auto store = std::make_shared<PifHistoryStore>(sc.cfg.pif);
 
     std::vector<std::unique_ptr<TraceEngine>> engines;
-    std::vector<SharedPifPrefetcher *> prefetchers;
+    std::vector<PifPrefetcher *> prefetchers;
     for (unsigned core = 0; core < cores; ++core) {
-        auto pf = std::make_unique<SharedPifPrefetcher>(storage);
+        auto pf = std::make_unique<PifPrefetcher>(store);
         prefetchers.push_back(pf.get());
-        SystemConfig cfg = sc.cfg;
-        cfg.seed = sc.cfg.seed + core * 7919;
         const ExecutorConfig exec =
             lw ? executorConfigFor(*lw, 0, core + 1)
                : executorConfigFor(sc.params, core + 1);
         engines.push_back(std::make_unique<TraceEngine>(
-            cfg, prog, exec, std::move(pf)));
+            coreConfig(sc.cfg, core), prog, exec, std::move(pf)));
     }
-
-    const InstCount total = (sc.warmup + sc.measure) / 2;
-    constexpr InstCount chunk = 2'000;
-    InstCount done = 0;
-    while (done < total) {
-        const InstCount step = std::min(chunk, total - done);
-        for (auto &engine : engines)
-            engine->advance(step);
-        done += step;
-    }
+    interleave(engines, (sc.warmup + sc.measure) / 2, 2'000);
 
     SharedPifRun run;
     for (unsigned core = 0; core < cores; ++core) {
@@ -191,7 +181,7 @@ sharedPifRun(const Scenario &sc, const LoweredWorkload *lw,
             engines[core]->frontend().correctPathMisses());
         run.coverage.push_back(prefetchers[core]->coverage());
     }
-    run.regionsRecorded = storage->regionsRecorded();
+    run.regionsRecorded = store->regionsRecorded();
     return run;
 }
 

@@ -17,13 +17,4 @@ HistoryBuffer::HistoryBuffer(std::uint64_t capacity)
     }
 }
 
-void
-HistoryBuffer::reset()
-{
-    next_ = 0;
-    writeIdx_ = 0;
-    if (capacity_ == 0)
-        ring_.clear();
-}
-
 } // namespace pifetch

@@ -82,9 +82,6 @@ class HistoryBuffer
     /** Configured capacity (0 = unbounded). */
     std::uint64_t capacity() const { return capacity_; }
 
-    /** Drop all contents. */
-    void reset();
-
   private:
     /** Arena slot holding sequence @p seq. */
     std::uint64_t

@@ -9,18 +9,15 @@
 
 namespace pifetch {
 
-PifPrefetcher::PifPrefetcher(const PifConfig &cfg, bool unbounded_storage)
+PifHistoryStore::PifHistoryStore(const PifConfig &cfg, bool unbounded)
     : cfg_(cfg)
 {
     const unsigned num_chains = cfg_.separateTrapLevels ? 2 : 1;
+    chains_.reserve(num_chains);
     for (unsigned c = 0; c < num_chains; ++c) {
-        Chain chain;
-        chain.spatial = std::make_unique<SpatialCompactor>(cfg_);
-        chain.temporal =
-            std::make_unique<TemporalCompactor>(cfg_.temporalEntries);
         std::uint64_t hist_cap = 0;
         unsigned index_entries = 0;
-        if (!unbounded_storage) {
+        if (!unbounded) {
             if (num_chains == 2) {
                 // Handlers are compact: give TL1 1/8 of the capacity.
                 hist_cap = (c == 0) ? cfg_.historyRegions * 7 / 8
@@ -40,9 +37,47 @@ PifPrefetcher::PifPrefetcher(const PifConfig &cfg, bool unbounded_storage)
                 index_entries = cfg_.indexEntries;
             }
         }
-        chain.history = std::make_unique<HistoryBuffer>(hist_cap);
-        chain.index = std::make_unique<IndexTable>(index_entries,
-                                                   cfg_.indexAssoc);
+        chains_.push_back(Chain{HistoryBuffer(hist_cap),
+                                IndexTable(index_entries,
+                                           cfg_.indexAssoc)});
+    }
+}
+
+std::uint64_t
+PifHistoryStore::regionsRecorded() const
+{
+    std::uint64_t n = 0;
+    for (const Chain &c : chains_)
+        n += c.history.appended();
+    return n;
+}
+
+namespace {
+
+/** A store that only one PifPrefetcher records into. */
+std::shared_ptr<PifHistoryStore>
+makePrivateStore(const PifConfig &cfg, bool unbounded)
+{
+    return std::make_shared<PifHistoryStore>(cfg, unbounded);
+}
+
+} // namespace
+
+PifPrefetcher::PifPrefetcher(const PifConfig &cfg, bool unbounded_storage)
+    : PifPrefetcher(makePrivateStore(cfg, unbounded_storage))
+{
+}
+
+PifPrefetcher::PifPrefetcher(std::shared_ptr<PifHistoryStore> store)
+    : cfg_(store->config()), store_(std::move(store))
+{
+    for (std::size_t c = 0; c < store_->chains(); ++c) {
+        Chain chain;
+        chain.spatial = std::make_unique<SpatialCompactor>(cfg_);
+        chain.temporal =
+            std::make_unique<TemporalCompactor>(cfg_.temporalEntries);
+        chain.history = &store_->history(c);
+        chain.index = &store_->index(c);
         chains_.push_back(std::move(chain));
     }
 
@@ -64,15 +99,6 @@ PifPrefetcher::coverage() const
                             static_cast<double>(tot);
 }
 
-std::uint64_t
-PifPrefetcher::regionsRecorded() const
-{
-    std::uint64_t n = 0;
-    for (const Chain &c : chains_)
-        n += c.history->appended();
-    return n;
-}
-
 void
 PifPrefetcher::resetStats()
 {
@@ -82,29 +108,6 @@ PifPrefetcher::resetStats()
         total_[tl] = 0;
     }
     sabAllocations_ = 0;
-}
-
-void
-PifPrefetcher::reset()
-{
-    for (Chain &c : chains_) {
-        c.spatial->reset();
-        c.temporal->reset();
-        c.history->reset();
-        c.index->reset();
-    }
-    for (StreamAddressBuffer &sab : sabs_)
-        sab.deactivate();
-    streamLo_ = invalidAddr;
-    streamHi_ = 0;
-    sabTick_ = 0;
-    queue_.clear();
-    for (unsigned tl = 0; tl < maxTrapLevels; ++tl) {
-        covered_[tl] = 0;
-        total_[tl] = 0;
-    }
-    sabAllocations_ = 0;
-    issued_ = 0;
 }
 
 } // namespace pifetch

@@ -6,6 +6,14 @@
  * and temporal compactors feeding per-trap-level history buffers and
  * index tables, plus a shared pool of stream address buffers that
  * monitor front-end fetches and issue prefetch candidates.
+ *
+ * The history buffers and index tables live in a PifHistoryStore. The
+ * paper gives every core "completely independent dedicated predictor
+ * hardware" and notes that "storage benefits can be attained by
+ * sharing predictor structures among multiple cores". A PifPrefetcher
+ * owns its store for the first design; for the second, several cores'
+ * prefetchers record into and replay from one store, while the
+ * compactors and SABs, which track one core's execution, stay private.
  */
 
 #pragma once
@@ -28,6 +36,51 @@
 namespace pifetch {
 
 /**
+ * PIF's history storage: one history buffer and index table per
+ * recording chain (TL0 and TL1 with cfg.separateTrapLevels, else one
+ * chain for both). Simulation is sequential, so a store shared by
+ * several cores models no synchronization (a real design would bank
+ * these structures).
+ */
+class PifHistoryStore
+{
+  public:
+    /**
+     * @param cfg PIF design parameters; historyRegions and
+     *        indexEntries size the whole store, however many cores
+     *        share it. Separate trap levels split both 7/8 : 1/8
+     *        between TL0 and TL1.
+     * @param unbounded Remove history/index capacity limits (the
+     *        Figure 10 "no storage limitation" configuration).
+     */
+    explicit PifHistoryStore(const PifConfig &cfg, bool unbounded = false);
+
+    const PifConfig &config() const { return cfg_; }
+
+    /** Recording chains: 2 with separate trap levels, else 1. */
+    std::size_t chains() const { return chains_.size(); }
+
+    HistoryBuffer &history(std::size_t chain)
+    {
+        return chains_[chain].history;
+    }
+    IndexTable &index(std::size_t chain) { return chains_[chain].index; }
+
+    /** Regions recorded into every chain, by every core sharing it. */
+    std::uint64_t regionsRecorded() const;
+
+  private:
+    struct Chain
+    {
+        HistoryBuffer history;
+        IndexTable index;
+    };
+
+    PifConfig cfg_;
+    std::vector<Chain> chains_;
+};
+
+/**
  * The complete PIF mechanism as an engine-pluggable Prefetcher.
  *
  * With cfg.separateTrapLevels set (the RetireSep configuration of
@@ -46,7 +99,11 @@ class PifPrefetcher final : public Prefetcher
     explicit PifPrefetcher(const PifConfig &cfg,
                            bool unbounded_storage = false);
 
-    std::string name() const override { return "PIF"; }
+    /**
+     * One core's PIF over @p store, which other cores' prefetchers
+     * may share; the design parameters are the store's.
+     */
+    explicit PifPrefetcher(std::shared_ptr<PifHistoryStore> store);
 
     // The three engine hooks run on every instruction of every replay;
     // they are defined inline (below the class) so the engines'
@@ -65,7 +122,6 @@ class PifPrefetcher final : public Prefetcher
     }
 
     unsigned drainRequests(std::vector<Addr> &out, unsigned max) override;
-    void reset() override;
     void resetStats() override;
 
     /**
@@ -94,8 +150,12 @@ class PifPrefetcher final : public Prefetcher
     /** Overall coverage across trap levels. */
     double coverage() const;
 
-    /** Regions recorded into history (all trap levels). */
-    std::uint64_t regionsRecorded() const;
+    /** Regions recorded into history (all trap levels; every core's
+     * when the store is shared). */
+    std::uint64_t regionsRecorded() const
+    {
+        return store_->regionsRecorded();
+    }
 
     /** SAB allocations performed. */
     std::uint64_t sabAllocations() const { return sabAllocations_; }
@@ -113,13 +173,14 @@ class PifPrefetcher final : public Prefetcher
     }
 
   private:
-    /** Recording chain for one trap level. */
+    /** Recording chain for one trap level: private compactors feeding
+     * the store's history buffer and index table. */
     struct Chain
     {
         std::unique_ptr<SpatialCompactor> spatial;
         std::unique_ptr<TemporalCompactor> temporal;
-        std::unique_ptr<HistoryBuffer> history;
-        std::unique_ptr<IndexTable> index;
+        HistoryBuffer *history = nullptr;
+        IndexTable *index = nullptr;
     };
 
     /** Map a trap level to a chain slot. */
@@ -162,6 +223,10 @@ class PifPrefetcher final : public Prefetcher
     std::uint64_t covered_[maxTrapLevels] = {0, 0};
     std::uint64_t total_[maxTrapLevels] = {0, 0};
     std::uint64_t sabAllocations_ = 0;
+
+    /** Owner of the history and index the chains point into; declared
+     * last to keep it off the hot members' cache lines. */
+    std::shared_ptr<PifHistoryStore> store_;
 };
 
 inline void
@@ -236,7 +301,7 @@ PifPrefetcher::onFetchAccess(const FetchInfo &info)
                     if (sab.lastUse() < victim->lastUse())
                         victim = &sab;
                 }
-                victim->allocate(chain.history.get(), *seq, scratch_);
+                victim->allocate(chain.history, *seq, scratch_);
                 victim->touch(++sabTick_);
                 ++sabAllocations_;
                 refreshStreamBounds();

@@ -68,15 +68,6 @@ class PrefetchQueue
         return n;
     }
 
-    /** Drop all queued candidates. */
-    void
-    clear()
-    {
-        head_ = 0;
-        count_ = 0;
-        queued_.clear();
-    }
-
   private:
     std::array<Addr, capacity> ring_;
     std::size_t head_ = 0;   //!< index of the oldest entry

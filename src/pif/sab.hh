@@ -127,16 +127,6 @@ class StreamAddressBuffer
         return false;
     }
 
-    /** Deactivate (end of stream). */
-    void
-    deactivate()
-    {
-        active_ = false;
-        window_.clear();
-        lo_ = invalidAddr;
-        hi_ = 0;
-    }
-
   private:
     /** Append the blocks of @p rec to @p out (left-to-right order). */
     void emitRegion(const SpatialRegion &rec, std::vector<Addr> &out);

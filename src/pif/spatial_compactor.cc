@@ -26,15 +26,4 @@ SpatialCompactor::flush()
     return current_;
 }
 
-void
-SpatialCompactor::reset()
-{
-    active_ = false;
-    current_ = SpatialRegion{};
-    lastBlock_ = invalidAddr;
-    observedPcs_ = 0;
-    blockAccesses_ = 0;
-    regionsEmitted_ = 0;
-}
-
 } // namespace pifetch

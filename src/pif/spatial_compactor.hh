@@ -118,9 +118,6 @@ class SpatialCompactor
     /** Region records emitted. */
     std::uint64_t regionsEmitted() const { return regionsEmitted_; }
 
-    /** Reset all state. */
-    void reset();
-
   private:
     unsigned blocksBefore_;
     unsigned blocksAfter_;

@@ -36,12 +36,4 @@ TemporalCompactor::admit(const SpatialRegion &rec)
     return true;
 }
 
-void
-TemporalCompactor::reset()
-{
-    mru_.clear();
-    presented_ = 0;
-    filtered_ = 0;
-}
-
 } // namespace pifetch

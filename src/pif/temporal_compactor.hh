@@ -48,9 +48,6 @@ class TemporalCompactor
     /** Current occupancy (tests). */
     std::size_t size() const { return mru_.size(); }
 
-    /** Drop all entries and counters. */
-    void reset();
-
   private:
     unsigned entries_;
     std::list<SpatialRegion> mru_;  //!< front = MRU

@@ -118,16 +118,4 @@ DiscontinuityPrefetcher::drainRequests(std::vector<Addr> &out,
     return n;
 }
 
-void
-DiscontinuityPrefetcher::reset()
-{
-    for (Entry &e : table_)
-        e = Entry{};
-    tick_ = 0;
-    lastBlock_ = invalidAddr;
-    queue_.clear();
-    queued_.clear();
-    issued_ = 0;
-}
-
 } // namespace pifetch

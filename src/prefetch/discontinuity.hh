@@ -37,11 +37,8 @@ class DiscontinuityPrefetcher final : public Prefetcher
   public:
     explicit DiscontinuityPrefetcher(const DiscontinuityConfig &cfg);
 
-    std::string name() const override { return "Discontinuity"; }
-
     void onFetchAccess(const FetchInfo &info) override;
     unsigned drainRequests(std::vector<Addr> &out, unsigned max) override;
-    void reset() override;
 
   private:
     struct Entry

@@ -48,13 +48,4 @@ NextLinePrefetcher::drainRequests(std::vector<Addr> &out, unsigned max)
     return n;
 }
 
-void
-NextLinePrefetcher::reset()
-{
-    lastBlock_ = invalidAddr;
-    queue_.clear();
-    queued_.clear();
-    issued_ = 0;
-}
-
 } // namespace pifetch

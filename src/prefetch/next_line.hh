@@ -26,11 +26,8 @@ class NextLinePrefetcher final : public Prefetcher
   public:
     explicit NextLinePrefetcher(const NextLineConfig &cfg);
 
-    std::string name() const override { return "Next-Line"; }
-
     void onFetchAccess(const FetchInfo &info) override;
     unsigned drainRequests(std::vector<Addr> &out, unsigned max) override;
-    void reset() override;
 
   private:
     unsigned degree_;

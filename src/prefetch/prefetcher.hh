@@ -16,7 +16,6 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "common/types.hh"
@@ -52,9 +51,6 @@ class Prefetcher
 {
   public:
     virtual ~Prefetcher() = default;
-
-    /** Display name for reports. */
-    virtual std::string name() const = 0;
 
     /** The core's front-end issued a demand fetch (see FetchInfo). */
     virtual void onFetchAccess(const FetchInfo &info) { (void)info; }
@@ -103,9 +99,6 @@ class Prefetcher
     virtual unsigned drainRequests(std::vector<Addr> &out,
                                    unsigned max) = 0;
 
-    /** Reset all predictor state. */
-    virtual void reset() = 0;
-
     /** Zero measurement counters without touching predictor state
      * (called by engines at the warmup/measurement boundary). */
     virtual void resetStats() { issued_ = 0; }
@@ -124,16 +117,12 @@ class Prefetcher
 class NullPrefetcher final : public Prefetcher
 {
   public:
-    std::string name() const override { return "None"; }
-
     unsigned
     drainRequests(std::vector<Addr> &out, unsigned max) override
     {
         (void)out; (void)max;
         return 0;
     }
-
-    void reset() override {}
 };
 
 } // namespace pifetch

@@ -135,19 +135,4 @@ TifsPrefetcher::drainRequests(std::vector<Addr> &out, unsigned max)
     return n;
 }
 
-void
-TifsPrefetcher::reset()
-{
-    if (cfg_.unbounded)
-        ring_.clear();
-    tail_ = 0;
-    index_.reset();
-    for (Stream &s : streams_)
-        s = Stream{};
-    tick_ = 0;
-    queue_.clear();
-    queued_.clear();
-    issued_ = 0;
-}
-
 } // namespace pifetch

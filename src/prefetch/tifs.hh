@@ -32,11 +32,8 @@ class TifsPrefetcher final : public Prefetcher
   public:
     explicit TifsPrefetcher(const TifsConfig &cfg);
 
-    std::string name() const override { return "TIFS"; }
-
     void onFetchAccess(const FetchInfo &info) override;
     unsigned drainRequests(std::vector<Addr> &out, unsigned max) override;
-    void reset() override;
 
     /** Miss-history entries recorded. */
     std::uint64_t recorded() const { return tail_; }

@@ -1,71 +1,39 @@
 /**
  * @file
- * Multi-core measurement runner.
+ * Multi-core building blocks and the shared-storage PIF study.
  *
- * The paper simulates a 16-core CMP and reports results "averaged
- * across the 16 simulated cores", with each core owning completely
- * independent dedicated predictor hardware (Section 4). This runner
- * reproduces that methodology: it instantiates N per-core engines,
- * each executing its own instance of the workload (distinct seeds, so
- * cores run different transaction interleavings of the same program
- * mix), and aggregates per-core results. Inter-core interaction is
- * folded into the shared-L2 latency model (DESIGN.md substitution #3).
+ * The paper simulates a 16-core CMP in which each core owns
+ * completely independent dedicated predictor hardware (Section 4),
+ * and notes that the cores could share predictor storage instead.
+ * Every simulated core of a workload runs its own instance of it
+ * (coreConfig: distinct seeds, so cores run different transaction
+ * interleavings of the same program mix). Cores that share PIF
+ * storage advance in round-robin chunks (interleave), which is how
+ * runSharedPifStudy compares shared against private history at equal
+ * total capacity. Inter-core interaction is otherwise folded into the
+ * shared-L2 latency model.
  */
 
 #pragma once
 
+#include <memory>
 #include <vector>
 
-#include "pif/shared_pif.hh"
-#include "sim/cycle_engine.hh"
 #include "sim/trace_engine.hh"
 #include "sim/workloads.hh"
 
 namespace pifetch {
 
-/** Aggregated multi-core functional results. */
-struct MulticoreTraceResult
-{
-    /** Per-core results, in core order. */
-    std::vector<TraceRunResult> perCore;
-
-    /** Mean correct-path miss ratio across cores. */
-    double meanMissRatio() const;
-
-    /** Mean PIF coverage across cores (0 unless PIF was attached). */
-    double meanPifCoverage() const;
-
-    /** Total correct-path misses across cores. */
-    std::uint64_t totalMisses() const;
-};
-
-/** Aggregated multi-core timed results. */
-struct MulticoreCycleResult
-{
-    std::vector<CycleRunResult> perCore;
-
-    /** Mean UIPC across cores (the paper's throughput proxy). */
-    double meanUipc() const;
-
-    /** Total user instructions committed across cores. */
-    InstCount totalUserInstrs() const;
-};
+/** Core @p core's configuration: @p cfg with the core's seed. */
+SystemConfig coreConfig(const SystemConfig &cfg, unsigned core);
 
 /**
- * Run the functional engine on @p cores instances of a workload.
- *
- * @param kind Prefetcher attached to every core (independent copies).
+ * Advance every engine of @p engines by @p total instructions, in
+ * round-robin chunks of @p chunk, emulating concurrent cores that
+ * share predictor state.
  */
-MulticoreTraceResult
-runMulticoreTrace(const WorkloadRef &w, PrefetcherKind kind, unsigned cores,
-                  InstCount warmup, InstCount measure,
-                  const SystemConfig &cfg = SystemConfig{});
-
-/** Run the cycle engine on @p cores instances of a workload. */
-MulticoreCycleResult
-runMulticoreCycle(const WorkloadRef &w, PrefetcherKind kind, unsigned cores,
-                  InstCount warmup, InstCount measure,
-                  const SystemConfig &cfg = SystemConfig{});
+void interleave(std::vector<std::unique_ptr<TraceEngine>> &engines,
+                InstCount total, InstCount chunk);
 
 /** One arm of the shared-vs-private PIF storage study (Section 4's
  * deferred optimization). */
@@ -93,9 +61,10 @@ recordSharedPifCore(const WorkloadRef &w, const Program &prog,
  * Interleave one engine per recording of @p cores (core c's made by
  * recordSharedPifCore with the same @p cfg) in 10K-instruction
  * chunks over their warm-up and measure segments. PIF history totals
- * @p total_history_regions: one shared pool when @p shared, else a
- * dedicated total/cores pool (at least 256 regions) per core. Compare
- * the two arms at equal @p total_history_regions.
+ * @p total_history_regions: one store shared by every core when
+ * @p shared, else a dedicated total/cores store (at least 256
+ * regions) per core. Compare the two arms at equal
+ * @p total_history_regions.
  */
 SharedPifStudyResult
 runSharedPifStudy(const std::vector<FrontRecording> &cores,

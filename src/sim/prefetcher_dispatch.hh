@@ -14,7 +14,6 @@
 #pragma once
 
 #include "pif/pif_prefetcher.hh"
-#include "pif/shared_pif.hh"
 #include "prefetch/discontinuity.hh"
 #include "prefetch/next_line.hh"
 #include "prefetch/tifs.hh"
@@ -37,8 +36,6 @@ withConcretePrefetcher(Prefetcher &pf, Fn &&fn)
     else if (auto *p = dynamic_cast<TifsPrefetcher *>(&pf))
         fn(*p);
     else if (auto *p = dynamic_cast<DiscontinuityPrefetcher *>(&pf))
-        fn(*p);
-    else if (auto *p = dynamic_cast<SharedPifPrefetcher *>(&pf))
         fn(*p);
     else if (auto *p = dynamic_cast<NullPrefetcher *>(&pf))
         fn(*p);

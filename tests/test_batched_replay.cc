@@ -8,9 +8,8 @@
  * windowed counter samples. This suite pins that equivalence on the
  * six server presets and two workload-zoo specs by comparing each
  * engine at the default batch length against the scalar-order (length
- * 1) reference, checks the multicore runners against hand-built
- * scalar per-core engines at 1 and 4 pool threads, and locks the
- * streaming SoA trace decoder against the records TraceWriter wrote.
+ * 1) reference, and locks the streaming SoA trace decoder against the
+ * records TraceWriter wrote.
  */
 
 #include <gtest/gtest.h>
@@ -23,7 +22,6 @@
 #include "check/invariants.hh"
 #include "query/event_store.hh"
 #include "sim/cycle_engine.hh"
-#include "sim/multicore.hh"
 #include "sim/trace_engine.hh"
 #include "sim/workloads.hh"
 #include "test_util.hh"
@@ -182,53 +180,6 @@ TEST(ZooBatched, BatchedMatchesScalarOrderOnZooSpecs)
         const WorkloadRef ref = workloadRefFromSpec(std::move(*spec));
         expectBatchLengthInvariant(ref.buildProgram(),
                                    ref.executorConfig(), zoo[i].key);
-    }
-}
-
-TEST(MulticoreBatched, MatchesScalarReferenceAtThreads1And4)
-{
-    // The pooled runners use the batched engines internally; a
-    // hand-built scalar-order engine per core (same seed derivation as
-    // runMulticoreTrace) is the reference both thread counts must hit
-    // bit for bit.
-    const ServerWorkload w = ServerWorkload::OltpDb2;
-    const WorkloadRef ref = w;
-    constexpr unsigned cores = 2;
-    const SystemConfig base{};
-
-    std::vector<TraceRunResult> scalar(cores);
-    for (unsigned core = 0; core < cores; ++core) {
-        const Program prog = ref.buildProgram(core);
-        SystemConfig cfg = base;
-        cfg.seed = base.seed + core * 7919;
-        TraceEngine engine(cfg, prog, ref.executorConfig(core, core),
-                           makePrefetcher(PrefetcherKind::Pif, cfg));
-        engine.setBatchLen(1);
-        ObserverConfig obs;
-        obs.digests = true;
-        engine.attachObservers(obs);
-        scalar[core] = engine.run(kWarmup, kMeasure);
-    }
-
-    for (const unsigned threads : {1u, 4u}) {
-        SystemConfig cfg = base;
-        cfg.threads = threads;
-        const MulticoreTraceResult pooled = runMulticoreTrace(
-            w, PrefetcherKind::Pif, cores, kWarmup, kMeasure, cfg);
-        ASSERT_EQ(pooled.perCore.size(), scalar.size());
-        std::vector<CheckFailure> failures;
-        for (unsigned core = 0; core < cores; ++core) {
-            // The pooled runner attaches no digests, so compare the
-            // full counter block minus the (zero) digest fields.
-            TraceRunResult want = scalar[core];
-            want.retireDigest = pooled.perCore[core].retireDigest;
-            want.accessDigest = pooled.perCore[core].accessDigest;
-            checkTraceIdentical(pooled.perCore[core], want,
-                                "multicore-batched-invariance",
-                                failures);
-        }
-        for (const CheckFailure &f : failures)
-            ADD_FAILURE() << "threads=" << threads << ": " << f.detail;
     }
 }
 

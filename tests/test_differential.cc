@@ -2,13 +2,12 @@
  * @file
  * Differential regression suite over the six server presets.
  *
- * The fuzz harness (`pifetch check`) exercises the cross-engine and
- * thread-invariance oracles on randomized scenarios; this suite pins
- * the same oracles on the fixed presets so they run in every plain
- * CTest invocation, with no fuzzing involved. Any drift between
- * TraceEngine and CycleEngine on retired-instruction streams, fetch
- * sequences or miss counts — or any thread-count dependence of the
- * multicore runners at 1 vs 4 workers — fails here first.
+ * The fuzz harness (`pifetch check`) exercises the cross-engine
+ * oracles on randomized scenarios; this suite pins them on the fixed
+ * presets so they run in every plain CTest invocation, with no
+ * fuzzing involved. Any drift between TraceEngine and CycleEngine on
+ * retired-instruction streams, fetch sequences or miss counts fails
+ * here first.
  *
  * The recorded-stream suites check that replaying a FrontRecording
  * through the back stage equals the live engine counter for counter,
@@ -23,6 +22,7 @@
 #include "check/checker.hh"
 #include "check/invariants.hh"
 #include "common/parallel.hh"
+#include "pif/pif_prefetcher.hh"
 #include "sim/experiment.hh"
 #include "sim/multicore.hh"
 #include "sim/workloads.hh"
@@ -131,53 +131,6 @@ TEST_P(PresetDifferential, EnginesAgreeOnStreamsAndCounters)
                           << prefetcherName(kind) << ": "
                           << f.invariant << ": " << f.detail;
         }
-    }
-}
-
-TEST_P(PresetDifferential, MulticoreTraceIsThreadCountInvariant)
-{
-    const ServerWorkload w = GetParam();
-    SystemConfig serial;
-    serial.threads = 1;
-    SystemConfig pooled;
-    pooled.threads = 4;
-
-    const MulticoreTraceResult a = runMulticoreTrace(
-        w, PrefetcherKind::Pif, 4, kWarmup / 2, kMeasure / 2, serial);
-    const MulticoreTraceResult b = runMulticoreTrace(
-        w, PrefetcherKind::Pif, 4, kWarmup / 2, kMeasure / 2, pooled);
-
-    ASSERT_EQ(a.perCore.size(), b.perCore.size());
-    std::vector<CheckFailure> failures;
-    for (std::size_t core = 0; core < a.perCore.size(); ++core)
-        checkTraceIdentical(a.perCore[core], b.perCore[core],
-                            "thread-invariance", failures);
-    for (const CheckFailure &f : failures)
-        ADD_FAILURE() << workloadKey(w) << ": " << f.detail;
-}
-
-TEST_P(PresetDifferential, MulticoreCycleIsThreadCountInvariant)
-{
-    const ServerWorkload w = GetParam();
-    SystemConfig serial;
-    serial.threads = 1;
-    SystemConfig pooled;
-    pooled.threads = 4;
-
-    const MulticoreCycleResult a = runMulticoreCycle(
-        w, PrefetcherKind::Pif, 2, kWarmup / 2, kMeasure / 2, serial);
-    const MulticoreCycleResult b = runMulticoreCycle(
-        w, PrefetcherKind::Pif, 2, kWarmup / 2, kMeasure / 2, pooled);
-
-    ASSERT_EQ(a.perCore.size(), b.perCore.size());
-    for (std::size_t core = 0; core < a.perCore.size(); ++core) {
-        EXPECT_EQ(a.perCore[core].cycles, b.perCore[core].cycles)
-            << workloadKey(w) << " core " << core;
-        EXPECT_EQ(a.perCore[core].demandMisses,
-                  b.perCore[core].demandMisses)
-            << workloadKey(w) << " core " << core;
-        EXPECT_DOUBLE_EQ(a.perCore[core].uipc, b.perCore[core].uipc)
-            << workloadKey(w) << " core " << core;
     }
 }
 
@@ -472,31 +425,18 @@ liveSharedPifStudy(const WorkloadRef &w, const Program &prog,
     SystemConfig cfg;
     cfg.pif.historyRegions =
         shared ? total : std::max<std::uint64_t>(total / cores, 256);
-    auto storage = std::make_shared<SharedPifStorage>(cfg.pif);
+    auto store = std::make_shared<PifHistoryStore>(cfg.pif);
     std::vector<std::unique_ptr<TraceEngine>> engines;
-    std::vector<Prefetcher *> pfs;
+    std::vector<PifPrefetcher *> pfs;
     for (unsigned core = 0; core < cores; ++core) {
-        std::unique_ptr<Prefetcher> pf;
-        if (shared)
-            pf = std::make_unique<SharedPifPrefetcher>(storage);
-        else
-            pf = std::make_unique<PifPrefetcher>(cfg.pif);
+        auto pf = shared ? std::make_unique<PifPrefetcher>(store)
+                         : std::make_unique<PifPrefetcher>(cfg.pif);
         pfs.push_back(pf.get());
-        SystemConfig core_cfg = cfg;
-        core_cfg.seed = cfg.seed + core * 7919;
         engines.push_back(std::make_unique<TraceEngine>(
-            core_cfg, prog, w.executorConfig(0, core + 1), std::move(pf)));
+            coreConfig(cfg, core), prog, w.executorConfig(0, core + 1),
+            std::move(pf)));
     }
-    const auto interleave = [&](InstCount total_instrs) {
-        for (InstCount done = 0; done < total_instrs;) {
-            const InstCount step =
-                std::min<InstCount>(10'000, total_instrs - done);
-            for (auto &e : engines)
-                e->advance(step);
-            done += step;
-        }
-    };
-    interleave(warmup);
+    interleave(engines, warmup, 10'000);
     std::vector<std::uint64_t> acc0;
     std::vector<std::uint64_t> miss0;
     for (unsigned c = 0; c < cores; ++c) {
@@ -504,7 +444,7 @@ liveSharedPifStudy(const WorkloadRef &w, const Program &prog,
         miss0.push_back(engines[c]->frontend().correctPathMisses());
         pfs[c]->resetStats();
     }
-    interleave(measure);
+    interleave(engines, measure, 10'000);
     SharedPifStudyResult out;
     for (unsigned c = 0; c < cores; ++c) {
         const double acc = static_cast<double>(
@@ -512,9 +452,7 @@ liveSharedPifStudy(const WorkloadRef &w, const Program &prog,
         const double miss = static_cast<double>(
             engines[c]->frontend().correctPathMisses() - miss0[c]);
         out.missRatio += acc > 0.0 ? miss / acc : 0.0;
-        out.coverage += shared
-            ? static_cast<SharedPifPrefetcher *>(pfs[c])->coverage()
-            : static_cast<PifPrefetcher *>(pfs[c])->coverage();
+        out.coverage += pfs[c]->coverage();
     }
     out.missRatio /= cores;
     out.coverage /= cores;

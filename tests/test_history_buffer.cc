@@ -74,15 +74,6 @@ TEST(HistoryBufferDeath, ReadingInvalidPanics)
     EXPECT_DEATH(h.at(0), "overwritten");
 }
 
-TEST(HistoryBuffer, ResetEmpties)
-{
-    HistoryBuffer h(4);
-    h.append(rec(1));
-    h.reset();
-    EXPECT_EQ(h.tail(), 0u);
-    EXPECT_FALSE(h.valid(0));
-}
-
 /** Property: with capacity C, exactly the last min(n, C) are valid. */
 class HistoryCapacity : public ::testing::TestWithParam<std::uint64_t>
 {

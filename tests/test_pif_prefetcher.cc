@@ -214,18 +214,6 @@ TEST(PifPrefetcher, LoopIterationsCompactAway)
     EXPECT_LE(pif.regionsRecorded(), 2u);
 }
 
-TEST(PifPrefetcher, ResetClearsEverything)
-{
-    PifPrefetcher pif(smallPif());
-    retireBlocks(pif, sampleSequence());
-    pif.onFetchAccess(fetchOf(1000));
-    pif.reset();
-    EXPECT_EQ(pif.regionsRecorded(), 0u);
-    EXPECT_EQ(pif.totalAccesses(0), 0u);
-    std::vector<Addr> out;
-    EXPECT_EQ(pif.drainRequests(out, 16), 0u);
-}
-
 TEST(PifPrefetcher, UnboundedStorageNeverForgets)
 {
     PifConfig cfg = smallPif();

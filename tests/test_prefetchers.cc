@@ -32,7 +32,6 @@ TEST(NullPrefetcher, ProducesNothing)
     std::vector<Addr> out;
     p.onFetchAccess(fetchOf(1));
     EXPECT_EQ(p.drainRequests(out, 8), 0u);
-    EXPECT_EQ(p.name(), "None");
 }
 
 TEST(NextLine, EmitsNextDegreeBlocks)
@@ -70,16 +69,6 @@ TEST(NextLine, QueueDedups)
     p.drainRequests(out, 64);
     std::sort(out.begin(), out.end());
     EXPECT_TRUE(std::adjacent_find(out.begin(), out.end()) == out.end());
-}
-
-TEST(NextLine, ResetClears)
-{
-    NextLinePrefetcher p(NextLineConfig{});
-    p.onFetchAccess(fetchOf(100));
-    p.reset();
-    std::vector<Addr> out;
-    EXPECT_EQ(p.drainRequests(out, 16), 0u);
-    EXPECT_EQ(p.issued(), 0u);
 }
 
 TEST(Tifs, ReplaysRecordedMissStream)

@@ -136,18 +136,6 @@ TEST(Sab, AdvancedCountsRetiredRegions)
     EXPECT_EQ(sab.advanced(), 3u);
 }
 
-TEST(Sab, DeactivateClearsWindow)
-{
-    HistoryBuffer hist(0);
-    hist.append(rec(100, {}));
-    StreamAddressBuffer sab(4, 2);
-    std::vector<Addr> out;
-    sab.allocate(&hist, 0, out);
-    sab.deactivate();
-    EXPECT_FALSE(sab.active());
-    EXPECT_FALSE(sab.windowCovers(100));
-}
-
 TEST(Sab, StreamEndStopsRefill)
 {
     HistoryBuffer hist(0);

@@ -1,13 +1,15 @@
 /**
  * @file
- * Shared-storage PIF tests.
+ * Shared-storage PIF tests: PifPrefetchers of several cores over one
+ * PifHistoryStore, and the shared-vs-private storage study.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 
-#include "pif/shared_pif.hh"
+#include "check/invariants.hh"
+#include "pif/pif_prefetcher.hh"
 #include "sim/multicore.hh"
 
 namespace pifetch {
@@ -44,9 +46,9 @@ fetchOf(Addr block)
 
 TEST(SharedPif, CrossCoreStreamReplay)
 {
-    auto storage = std::make_shared<SharedPifStorage>(smallPif());
-    SharedPifPrefetcher core_a(storage);
-    SharedPifPrefetcher core_b(storage);
+    auto store = std::make_shared<PifHistoryStore>(smallPif());
+    PifPrefetcher core_a(store);
+    PifPrefetcher core_b(store);
 
     // Core A records a stream...
     retireBlocks(core_a, {1000, 1001, 2000, 3000});
@@ -65,18 +67,17 @@ TEST(SharedPif, CrossCoreStreamReplay)
 
 TEST(SharedPif, StorageAggregatesAcrossCores)
 {
-    auto storage = std::make_shared<SharedPifStorage>(smallPif());
-    SharedPifPrefetcher a(storage);
-    SharedPifPrefetcher b(storage);
+    auto store = std::make_shared<PifHistoryStore>(smallPif());
+    PifPrefetcher a(store);
+    PifPrefetcher b(store);
     retireBlocks(a, {100, 5000});
     retireBlocks(b, {900, 7000});
-    EXPECT_GE(storage->regionsRecorded(), 2u);
+    EXPECT_GE(store->regionsRecorded(), 2u);
 }
 
 TEST(SharedPif, CoverageAccounting)
 {
-    auto storage = std::make_shared<SharedPifStorage>(smallPif());
-    SharedPifPrefetcher pf(storage);
+    PifPrefetcher pf(std::make_shared<PifHistoryStore>(smallPif()));
     pf.onFetchAccess(fetchOf(42));
     FetchInfo covered = fetchOf(43);
     covered.hit = true;
@@ -85,14 +86,58 @@ TEST(SharedPif, CoverageAccounting)
     EXPECT_DOUBLE_EQ(pf.coverage(), 0.5);
 }
 
-TEST(SharedPif, ResetKeepsSharedStorage)
+TEST(SharedPif, OneCoreOverAStoreMatchesOwnedStore)
 {
-    auto storage = std::make_shared<SharedPifStorage>(smallPif());
-    SharedPifPrefetcher a(storage);
-    retireBlocks(a, {100, 5000});
-    const std::uint64_t recorded = storage->regionsRecorded();
-    a.reset();
-    EXPECT_EQ(storage->regionsRecorded(), recorded);
+    // A core alone on a store made apart from it runs exactly like a
+    // PifPrefetcher that builds its own: one implementation serves
+    // the dedicated and the shared design. The small history wraps,
+    // so the bounded and unbounded stores behave differently.
+    const WorkloadRef db2 = ServerWorkload::OltpDb2;
+    const Program prog = db2.buildProgram();
+    struct Run
+    {
+        TraceRunResult result;
+        std::uint64_t regions = 0;
+        std::uint64_t sabAllocations = 0;
+    };
+    const auto run = [&](const SystemConfig &cfg,
+                         std::unique_ptr<PifPrefetcher> pf) {
+        PifPrefetcher *pif = pf.get();
+        TraceEngine engine(cfg, prog, db2.executorConfig(), std::move(pf));
+        ObserverConfig obs;
+        obs.digests = true;
+        engine.attachObservers(obs);
+        Run r;
+        r.result = engine.run(100'000, 200'000);
+        r.regions = pif->regionsRecorded();
+        r.sabAllocations = pif->sabAllocations();
+        return r;
+    };
+    for (const bool separate : {false, true}) {
+        for (const bool unbounded : {false, true}) {
+            SystemConfig cfg;
+            cfg.pif = smallPif();
+            cfg.pif.separateTrapLevels = separate;
+            const Run owned = run(
+                cfg, std::make_unique<PifPrefetcher>(cfg.pif, unbounded));
+            const Run over = run(
+                cfg, std::make_unique<PifPrefetcher>(
+                         std::make_shared<PifHistoryStore>(cfg.pif,
+                                                           unbounded)));
+            const std::string label =
+                std::string(separate ? "separate" : "combined") +
+                (unbounded ? " unbounded" : " bounded");
+            std::vector<CheckFailure> failures;
+            checkTraceIdentical(owned.result, over.result,
+                                "owned-vs-shared-store", failures);
+            for (const CheckFailure &f : failures)
+                ADD_FAILURE() << label << ": " << f.detail;
+            EXPECT_GT(owned.regions, 0u) << label;
+            EXPECT_EQ(owned.regions, over.regions) << label;
+            EXPECT_GT(owned.sabAllocations, 0u) << label;
+            EXPECT_EQ(owned.sabAllocations, over.sabAllocations) << label;
+        }
+    }
 }
 
 TEST(SharedPifStudy, SharedBeatsEqualAggregatePrivate)

@@ -141,15 +141,6 @@ TEST(SpatialCompactor, FlushOnEmptyIsEmpty)
     EXPECT_FALSE(c.flush().has_value());
 }
 
-TEST(SpatialCompactor, ResetClearsState)
-{
-    SpatialCompactor c(2, 5);
-    c.observe(pcOf(1), true, 0);
-    c.reset();
-    EXPECT_EQ(c.observedPcs(), 0u);
-    EXPECT_FALSE(c.flush().has_value());
-}
-
 TEST(SpatialCompactorDeath, RejectsOversizedRegion)
 {
     EXPECT_EXIT(SpatialCompactor(16, 16),

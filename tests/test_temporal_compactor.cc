@@ -98,14 +98,5 @@ TEST(TemporalCompactorDeath, RejectsZeroEntries)
                 "at least one");
 }
 
-TEST(TemporalCompactor, ResetForgetsEverything)
-{
-    TemporalCompactor tc(4);
-    tc.admit(rec(0x100, 1));
-    tc.reset();
-    EXPECT_EQ(tc.size(), 0u);
-    EXPECT_TRUE(tc.admit(rec(0x100, 1)));
-}
-
 } // namespace
 } // namespace pifetch
