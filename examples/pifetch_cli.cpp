@@ -170,6 +170,8 @@ struct CliOptions
     bool quiet = false;
     /** --seed or --set appeared (invalid for analysis-only specs). */
     bool configTouched = false;
+    /** --warmup appeared (invalid for analysis-only specs too). */
+    bool warmupTouched = false;
     /** sweep only: one axis per --param, in command-line order. */
     std::vector<SweepAxis> grid;
 };
@@ -316,6 +318,7 @@ parseOptions(int argc, char **argv, int from, bool allow_param,
                 return badValue(v);
             budget.warmup = n;
             budget_set = true;
+            opts.warmupTouched = true;
         } else if (arg == "--measure") {
             const char *v = next();
             std::uint64_t n = 0;
@@ -483,10 +486,11 @@ cmdRun(int argc, char **argv)
     opts.run.budget = spec->defaultBudget;
     if (!parseOptions(argc, argv, 3, false, opts))
         return 2;
-    if (!spec->usesConfig && opts.configTouched) {
+    if (!spec->usesConfig && (opts.configTouched || opts.warmupTouched)) {
         std::fprintf(stderr,
-                     "pifetch: '%s' is an analysis-only study; "
-                     "--seed/--set have no effect on it\n",
+                     "pifetch: '%s' is an analysis-only study: one "
+                     "pass of --measure instructions; "
+                     "--seed/--set/--warmup have no effect on it\n",
                      spec->name.c_str());
         return 2;
     }

@@ -26,11 +26,4 @@ BimodalPredictor::update(Addr pc, bool taken)
     table_[indexOf(pc)].update(taken);
 }
 
-void
-BimodalPredictor::reset()
-{
-    for (auto &c : table_)
-        c = SatCounter2();
-}
-
 } // namespace pifetch

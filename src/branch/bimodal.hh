@@ -24,7 +24,6 @@ class BimodalPredictor final : public DirectionPredictor
 
     bool predict(Addr pc) override;
     void update(Addr pc, bool taken) override;
-    void reset() override;
 
   private:
     std::uint64_t indexOf(Addr pc) const

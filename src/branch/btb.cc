@@ -60,14 +60,4 @@ Btb::update(Addr pc, Addr target)
     victim->stamp = ++tick_;
 }
 
-void
-Btb::reset()
-{
-    for (Entry &e : entries_)
-        e = Entry{};
-    tick_ = 0;
-    hits_ = 0;
-    lookups_ = 0;
-}
-
 } // namespace pifetch

@@ -37,9 +37,6 @@ class Btb
     /** Install or refresh the mapping pc -> target. */
     void update(Addr pc, Addr target);
 
-    /** Drop all entries. */
-    void reset();
-
     std::uint64_t hits() const { return hits_; }
     std::uint64_t lookups() const { return lookups_; }
 

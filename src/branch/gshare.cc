@@ -31,12 +31,4 @@ GsharePredictor::update(Addr pc, bool taken)
     history_ = ((history_ << 1) | (taken ? 1 : 0)) & historyMask_;
 }
 
-void
-GsharePredictor::reset()
-{
-    for (auto &c : table_)
-        c = SatCounter2();
-    history_ = 0;
-}
-
 } // namespace pifetch

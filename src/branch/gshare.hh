@@ -29,7 +29,6 @@ class GsharePredictor final : public DirectionPredictor
 
     bool predict(Addr pc) override;
     void update(Addr pc, bool taken) override;
-    void reset() override;
 
     /** Current global history register (tests). */
     std::uint64_t history() const { return history_; }

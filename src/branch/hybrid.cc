@@ -39,15 +39,4 @@ HybridPredictor::update(Addr pc, bool taken)
     bimodal_.update(pc, taken);
 }
 
-void
-HybridPredictor::reset()
-{
-    gshare_.reset();
-    bimodal_.reset();
-    for (auto &c : chooser_)
-        c = SatCounter2();
-    predictions_ = 0;
-    mispredicts_ = 0;
-}
-
 } // namespace pifetch

@@ -28,7 +28,6 @@ class HybridPredictor final : public DirectionPredictor
 
     bool predict(Addr pc) override;
     void update(Addr pc, bool taken) override;
-    void reset() override;
 
     /** Mispredictions observed via recordOutcome(). */
     std::uint64_t mispredicts() const { return mispredicts_; }

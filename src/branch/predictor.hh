@@ -59,9 +59,6 @@ class DirectionPredictor
 
     /** Train with the resolved direction. */
     virtual void update(Addr pc, bool taken) = 0;
-
-    /** Reset all state to power-on values. */
-    virtual void reset() = 0;
 };
 
 } // namespace pifetch

@@ -40,13 +40,4 @@ ReturnAddressStack::top() const
     return depth_ == 0 ? invalidAddr : stack_[topIdx_];
 }
 
-void
-ReturnAddressStack::reset()
-{
-    for (Addr &a : stack_)
-        a = invalidAddr;
-    topIdx_ = 0;
-    depth_ = 0;
-}
-
 } // namespace pifetch

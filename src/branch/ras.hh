@@ -37,9 +37,6 @@ class ReturnAddressStack
 
     unsigned capacity() const { return capacity_; }
 
-    /** Drop all entries. */
-    void reset();
-
   private:
     unsigned capacity_;
     unsigned topIdx_ = 0;

@@ -5,25 +5,12 @@
 
 #include "cache/cache.hh"
 
-#include <algorithm>
-
 #include "common/bitops.hh"
 
 namespace pifetch {
 
-Cache::Cache(const CacheConfig &cfg, ReplacementKind repl,
-             std::uint64_t seed)
-    : sets_(cfg.sets()),
-      ways_(cfg.assoc),
-      stats_(cfg.name),
-      hits_(stats_, "hits", "demand hits"),
-      misses_(stats_, "misses", "demand misses"),
-      prefetchFills_(stats_, "prefetch_fills", "lines filled by prefetch"),
-      usefulPrefetches_(stats_, "useful_prefetches",
-                        "first demand touches of prefetched lines"),
-      unusedPrefetches_(stats_, "unused_prefetches",
-                        "prefetched lines evicted untouched"),
-      evictions_(stats_, "evictions", "valid lines evicted")
+Cache::Cache(const CacheConfig &cfg, ReplacementKind, std::uint64_t)
+    : sets_(cfg.sets()), ways_(cfg.assoc)
 {
     if (sets_ == 0 || (sets_ & (sets_ - 1)) != 0)
         fatalError("cache '" + cfg.name + "': set count must be a power "
@@ -34,10 +21,7 @@ Cache::Cache(const CacheConfig &cfg, ReplacementKind repl,
     tags_.assign(sets_ * ways_, invalidAddr);
     valid_.assign(sets_ * ways_, 0);
     prefetched_.assign(sets_ * ways_, 0);
-    if (repl == ReplacementKind::LRU)
-        stamp_.assign(sets_ * ways_, 0);
-    else
-        repl_ = makeReplacement(repl, sets_, ways_, seed);
+    stamp_.assign(sets_ * ways_, 0);
 }
 
 Cache::AccessResult
@@ -83,7 +67,7 @@ Cache::fill(Addr block, bool prefetched)
         return invalidAddr;
     }
 
-    // Prefer an invalid way before consulting the replacement policy.
+    // Prefer an invalid way before evicting the LRU line.
     way = ways_;
     for (unsigned w = 0; w < ways_; ++w) {
         if (!valid_[base + w]) {
@@ -96,9 +80,6 @@ Cache::fill(Addr block, bool prefetched)
     if (way == ways_) {
         way = victimWay(set);
         victim = (tags_[base + way] << setShift_) | set;
-        if (prefetched_[base + way])
-            ++unusedPrefetches_;
-        ++evictions_;
     }
 
     tags_[base + way] = tag;
@@ -111,22 +92,6 @@ Cache::fill(Addr block, bool prefetched)
 }
 
 bool
-Cache::invalidate(Addr block)
-{
-    const std::uint64_t set = setOf(block);
-    const unsigned way = findWay(set, tagOf(block));
-    if (way == ways_)
-        return false;
-    const std::uint64_t idx = set * ways_ + way;
-    if (prefetched_[idx])
-        ++unusedPrefetches_;
-    valid_[idx] = 0;
-    prefetched_[idx] = 0;
-    tags_[idx] = invalidAddr;
-    return true;
-}
-
-bool
 Cache::isPrefetched(Addr block) const
 {
     const std::uint64_t set = setOf(block);
@@ -134,27 +99,6 @@ Cache::isPrefetched(Addr block) const
     if (way == ways_)
         return false;
     return prefetched_[set * ways_ + way] != 0;
-}
-
-void
-Cache::flush()
-{
-    std::fill(tags_.begin(), tags_.end(), invalidAddr);
-    std::fill(valid_.begin(), valid_.end(), 0);
-    std::fill(prefetched_.begin(), prefetched_.end(), 0);
-    std::fill(stamp_.begin(), stamp_.end(), 0);
-    tick_ = 0;
-    if (repl_)
-        repl_->reset();
-}
-
-std::uint64_t
-Cache::validLines() const
-{
-    std::uint64_t n = 0;
-    for (std::uint8_t v : valid_)
-        n += v ? 1 : 0;
-    return n;
 }
 
 } // namespace pifetch

@@ -4,8 +4,8 @@
  *
  * The model is functional (tag array only): it answers hit/miss, tracks
  * the prefetched bit per line (needed by PIF's index-table insertion
- * rule, Section 4.2), and exposes explicit fill/invalidate so engines
- * can model miss latency themselves. Timing lives in the engines, not
+ * rule, Section 4.2), and exposes an explicit fill so engines can
+ * model miss latency themselves. Timing lives in the engines, not
  * here, matching the paper's split between trace studies and
  * cycle-accurate runs.
  *
@@ -13,23 +13,22 @@
  * bits live in parallel vectors so the way scan in probe()/access() —
  * the hottest loop in batched replay — reads one dense tag run per set
  * and resolves the match with a conditional move instead of an early
- * exit branch per way. LRU recency is kept inline (per-line stamps)
- * with semantics identical to LruPolicy; the virtual policy object is
- * instantiated only for Random replacement.
+ * exit branch per way. Replacement is true LRU, kept inline as
+ * per-line stamps.
  */
 
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
-#include "cache/replacement.hh"
 #include "common/config.hh"
-#include "common/stats.hh"
 #include "common/types.hh"
 
 namespace pifetch {
+
+/** Replacement policy selector: true LRU is the only policy. */
+enum class ReplacementKind { LRU };
 
 /**
  * A single-level, set-associative, block-addressed cache.
@@ -52,9 +51,12 @@ class Cache
         bool firstDemandOfPrefetch = false;
     };
 
-    Cache(const CacheConfig &cfg,
-          ReplacementKind repl = ReplacementKind::LRU,
-          std::uint64_t seed = 0xc0ffee);
+    /**
+     * The two trailing parameters are ignored; they keep the
+     * three-argument form that existing callers pass.
+     */
+    Cache(const CacheConfig &cfg, ReplacementKind = ReplacementKind::LRU,
+          std::uint64_t = 0);
 
     /**
      * Demand access to @p block. Updates recency on hit; on miss the
@@ -78,49 +80,19 @@ class Cache
      */
     Addr fill(Addr block, bool prefetched = false);
 
-    /** Remove @p block if present. @return true if it was present. */
-    bool invalidate(Addr block);
-
     /** True if @p block is present and still carries the prefetch bit. */
     bool isPrefetched(Addr block) const;
 
-    /** Drop all lines and recency state. */
-    void flush();
-
-    /** Number of currently valid lines. */
-    std::uint64_t validLines() const;
-
     std::uint64_t sets() const { return sets_; }
-    unsigned ways() const { return ways_; }
 
     /** Demand hits observed. */
-    std::uint64_t hits() const { return hits_.value(); }
+    std::uint64_t hits() const { return hits_; }
     /** Demand misses observed. */
-    std::uint64_t misses() const { return misses_.value(); }
+    std::uint64_t misses() const { return misses_; }
     /** Lines installed by prefetch. */
-    std::uint64_t prefetchFills() const { return prefetchFills_.value(); }
-    /** Prefetched lines evicted without any demand touch. */
-    std::uint64_t unusedPrefetches() const
-    {
-        return unusedPrefetches_.value();
-    }
+    std::uint64_t prefetchFills() const { return prefetchFills_; }
     /** Demand hits on prefetched lines (first touch). */
-    std::uint64_t usefulPrefetches() const
-    {
-        return usefulPrefetches_.value();
-    }
-
-    /** Demand miss ratio. */
-    double missRatio() const
-    {
-        return ratio(misses_.value(), hits_.value() + misses_.value());
-    }
-
-    /** Statistics group for reporting. */
-    const StatGroup &stats() const { return stats_; }
-
-    /** Zero all statistics (cache contents are preserved). */
-    void resetStats() { stats_.resetAll(); }
+    std::uint64_t usefulPrefetches() const { return usefulPrefetches_; }
 
   private:
     std::uint64_t setOf(Addr block) const { return block & (sets_ - 1); }
@@ -148,24 +120,20 @@ class Cache
         return way;
     }
 
-    /** Record a use of @p way (inline LRU stamp or policy object). */
+    /** Record a use of @p way. */
     void
     touchWay(std::uint64_t set, unsigned way)
     {
-        if (repl_)
-            repl_->touch(set, way);
-        else
-            stamp_[set * ways_ + way] = ++tick_;
+        stamp_[set * ways_ + way] = ++tick_;
     }
 
-    /** Choose the eviction victim way in @p set. */
+    /**
+     * Choose the eviction victim way in @p set: the least recently
+     * used, the lowest way index on ties.
+     */
     unsigned
-    victimWay(std::uint64_t set)
+    victimWay(std::uint64_t set) const
     {
-        if (repl_)
-            return repl_->victim(set);
-        // Inline true-LRU: lowest stamp wins, first index on ties —
-        // exactly LruPolicy::victim.
         const std::uint64_t base = set * ways_;
         unsigned best = 0;
         std::uint64_t best_stamp = stamp_[base];
@@ -187,20 +155,14 @@ class Cache
     std::vector<std::uint8_t> valid_;
     std::vector<std::uint8_t> prefetched_;
 
-    /** Inline LRU state (unused when a policy object is installed). */
+    /** LRU state: the tick of each line's last use. */
     std::vector<std::uint64_t> stamp_;
     std::uint64_t tick_ = 0;
 
-    /** Non-LRU replacement only (null selects the inline LRU). */
-    std::unique_ptr<ReplacementPolicy> repl_;
-
-    StatGroup stats_;
-    Counter hits_;
-    Counter misses_;
-    Counter prefetchFills_;
-    Counter usefulPrefetches_;
-    Counter unusedPrefetches_;
-    Counter evictions_;
+    std::uint64_t hits_ = 0;
+    std::uint64_t misses_ = 0;
+    std::uint64_t prefetchFills_ = 0;
+    std::uint64_t usefulPrefetches_ = 0;
 };
 
 } // namespace pifetch

@@ -17,8 +17,6 @@ l2Config(const MemoryConfig &cfg)
     c.sizeBytes = cfg.l2SizeBytes;
     c.assoc = cfg.l2Assoc;
     c.blockBytes = 64;
-    c.hitLatency = cfg.l2HitLatency;
-    c.mshrs = cfg.l2Mshrs;
     return c;
 }
 
@@ -27,7 +25,7 @@ l2Config(const MemoryConfig &cfg)
 MemoryHierarchy::MemoryHierarchy(const MemoryConfig &cfg)
     : l2HitLatency_(cfg.l2HitLatency + cfg.interconnectLatency),
       memLatency_(cfg.memLatency + cfg.interconnectLatency),
-      l2_(l2Config(cfg), ReplacementKind::LRU)
+      l2_(l2Config(cfg))
 {
 }
 

@@ -45,12 +45,6 @@ class MemoryHierarchy
     /** L2 misses (memory accesses). */
     std::uint64_t l2Misses() const { return l2_.misses(); }
 
-    /** Access the underlying L2 model (tests, warmup). */
-    Cache &l2() { return l2_; }
-
-    /** Drop L2 contents. */
-    void flush() { l2_.flush(); }
-
   private:
     Cycle l2HitLatency_;
     Cycle memLatency_;

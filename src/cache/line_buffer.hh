@@ -52,27 +52,6 @@ class LineBuffer
         head_ = (head_ + 1) % entries_;
     }
 
-    /** Remove @p block if present (e.g. on invalidation). */
-    void
-    remove(Addr block)
-    {
-        for (Addr &a : slots_) {
-            if (a == block)
-                a = invalidAddr;
-        }
-    }
-
-    /** Drop all entries. */
-    void
-    clear()
-    {
-        for (Addr &a : slots_)
-            a = invalidAddr;
-        head_ = 0;
-    }
-
-    unsigned entries() const { return entries_; }
-
   private:
     unsigned entries_;
     unsigned head_ = 0;

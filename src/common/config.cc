@@ -1,68 +1,13 @@
 /**
  * @file
- * Configuration printing (Table I reproduction support).
+ * System configuration validation.
  */
 
 #include "common/config.hh"
 
 #include "common/bitops.hh"
-#include "common/parallel.hh"
 
 namespace pifetch {
-
-namespace {
-
-void
-printCache(const CacheConfig &c, std::ostream &os)
-{
-    os << "  " << c.name << ": " << (c.sizeBytes / 1024) << "KB, "
-       << c.assoc << "-way, " << c.blockBytes << "B blocks, "
-       << c.hitLatency << "-cycle load-to-use, " << c.mshrs << " MSHRs\n";
-}
-
-} // namespace
-
-void
-printSystemConfig(const SystemConfig &cfg, std::ostream &os)
-{
-    os << "Processing nodes\n"
-       << "  " << cfg.numCores << " OoO cores, "
-       << cfg.core.dispatchWidth << "-wide dispatch / "
-       << cfg.core.retireWidth << "-wide retirement\n"
-       << "  " << cfg.core.robEntries << "-entry ROB, "
-       << cfg.core.fetchQueueEntries << "-entry pre-dispatch queue\n";
-    os << "I-fetch unit\n";
-    printCache(cfg.l1i, os);
-    os << "  hybrid branch predictor: " << cfg.branch.gshareEntries
-       << " gshare + " << cfg.branch.bimodalEntries << " bimodal, "
-       << cfg.branch.btbEntries << "-entry BTB, "
-       << cfg.branch.rasEntries << "-entry RAS\n";
-    os << "L1-D cache\n";
-    printCache(cfg.l1d, os);
-    os << "L2 NUCA cache\n"
-       << "  unified " << (cfg.memory.l2SizeBytes / (1024 * 1024))
-       << "MB total (" << (cfg.memory.l2SizeBytes / 1024 / cfg.numCores)
-       << "KB per core), " << cfg.memory.l2Assoc << "-way, "
-       << cfg.memory.l2HitLatency << "-cycle hit latency, "
-       << cfg.memory.l2Mshrs << " MSHRs\n";
-    os << "Main memory\n"
-       << "  " << cfg.memory.memLatency << "-cycle access latency\n";
-    os << "PIF\n"
-       << "  spatial region: " << cfg.pif.blocksBefore << " blocks before + "
-       << "trigger + " << cfg.pif.blocksAfter << " after ("
-       << cfg.pif.regionBlocks() << " total)\n"
-       << "  temporal compactor: " << cfg.pif.temporalEntries
-       << " entries (LRU)\n"
-       << "  history buffer: " << cfg.pif.historyRegions << " regions\n"
-       << "  index table: " << cfg.pif.indexEntries << " entries, "
-       << cfg.pif.indexAssoc << "-way\n"
-       << "  SABs: " << cfg.pif.numSabs << " x "
-       << cfg.pif.sabWindowRegions << "-region window\n";
-    os << "Host execution\n"
-       << "  " << resolveThreads(cfg.threads) << " worker threads"
-       << (cfg.threads == 0 ? " (auto)" : "") << ", seed "
-       << cfg.seed << "\n";
-}
 
 std::optional<std::string>
 validateSystemConfig(const SystemConfig &cfg)

@@ -12,7 +12,6 @@
 
 #include <cstdint>
 #include <optional>
-#include <ostream>
 #include <string>
 #include <tuple>
 
@@ -27,7 +26,6 @@ struct CacheConfig
     std::uint64_t sizeBytes = 64 * 1024;
     unsigned assoc = 2;
     unsigned blockBytes = 64;
-    Cycle hitLatency = 2;   //!< load-to-use latency on a hit
     unsigned mshrs = 32;    //!< outstanding misses supported
 
     /** Number of sets implied by the geometry. */
@@ -40,8 +38,7 @@ struct CacheConfig
     auto
     tied() const
     {
-        return std::tie(name, sizeBytes, assoc, blockBytes, hitLatency,
-                        mshrs);
+        return std::tie(name, sizeBytes, assoc, blockBytes, mshrs);
     }
     bool operator==(const CacheConfig &o) const { return tied() == o.tied(); }
 };
@@ -76,7 +73,6 @@ struct CoreConfig
     unsigned dispatchWidth = 3;
     unsigned retireWidth = 3;
     unsigned robEntries = 96;
-    unsigned fetchQueueEntries = 24;  //!< pre-dispatch queue
     unsigned frontendDepth = 5;       //!< fetch-to-dispatch stages
     /**
      * Branch misprediction resolution delay (cycles between fetching a
@@ -100,8 +96,7 @@ struct CoreConfig
     tied() const
     {
         return std::tie(dispatchWidth, retireWidth, robEntries,
-                        fetchQueueEntries, frontendDepth,
-                        minResolveCycles, maxResolveCycles,
+                        frontendDepth, minResolveCycles, maxResolveCycles,
                         dataStallFraction, dataStallCycles);
     }
     bool operator==(const CoreConfig &o) const { return tied() == o.tied(); }
@@ -113,7 +108,6 @@ struct MemoryConfig
     std::uint64_t l2SizeBytes = 8ull * 1024 * 1024;  //!< 512KB x 16 cores
     unsigned l2Assoc = 16;
     Cycle l2HitLatency = 15;
-    unsigned l2Mshrs = 64;
     Cycle memLatency = 90;   //!< 45 ns at 2 GHz
     /**
      * Average 2D-mesh round-trip added to every request leaving the
@@ -126,8 +120,8 @@ struct MemoryConfig
     auto
     tied() const
     {
-        return std::tie(l2SizeBytes, l2Assoc, l2HitLatency, l2Mshrs,
-                        memLatency, interconnectLatency);
+        return std::tie(l2SizeBytes, l2Assoc, l2HitLatency, memLatency,
+                        interconnectLatency);
     }
     bool operator==(const MemoryConfig &o) const
     {
@@ -199,33 +193,17 @@ struct NextLineConfig
     }
 };
 
-/** Interrupt (trap) injection parameters for the workload executor. */
-struct TrapConfig
-{
-    double perInstrProbability = 2e-5;  //!< spontaneous interrupt rate
-    unsigned handlerCount = 12;         //!< distinct handler routines
-
-    /** Field-wise equality (the tie lists every field). */
-    auto
-    tied() const
-    {
-        return std::tie(perInstrProbability, handlerCount);
-    }
-    bool operator==(const TrapConfig &o) const { return tied() == o.tied(); }
-};
-
 /** Complete single-core system configuration. */
 struct SystemConfig
 {
-    CacheConfig l1i{"l1i", 64 * 1024, 2, 64, 2, 32};
-    CacheConfig l1d{"l1d", 64 * 1024, 2, 64, 2, 32};
+    CacheConfig l1i{"l1i", 64 * 1024, 2, 64, 32};
+    CacheConfig l1d{"l1d", 64 * 1024, 2, 64, 32};
     BranchConfig branch;
     CoreConfig core;
     MemoryConfig memory;
     PifConfig pif;
     TifsConfig tifs;
     NextLineConfig nextLine;
-    TrapConfig trap;
     unsigned numCores = 16;   //!< documented; engines simulate per core
     std::uint64_t seed = 42;  //!< master seed for deterministic runs
     /**
@@ -241,16 +219,13 @@ struct SystemConfig
     tied() const
     {
         return std::tie(l1i, l1d, branch, core, memory, pif, tifs,
-                        nextLine, trap, numCores, seed, threads);
+                        nextLine, numCores, seed, threads);
     }
     bool operator==(const SystemConfig &o) const
     {
         return tied() == o.tied();
     }
 };
-
-/** Print a human-readable rendition of Table I for this config. */
-void printSystemConfig(const SystemConfig &cfg, std::ostream &os);
 
 /**
  * Check @p cfg against the bounds the simulator needs to run without

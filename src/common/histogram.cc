@@ -5,9 +5,7 @@
 
 #include "common/histogram.hh"
 
-#include <algorithm>
 #include "common/bitops.hh"
-
 #include "common/types.hh"
 
 namespace pifetch {
@@ -56,13 +54,6 @@ Log2Histogram::highestBucket() const
     return 0;
 }
 
-void
-Log2Histogram::clear()
-{
-    std::fill(w_.begin(), w_.end(), 0.0);
-    total_ = 0.0;
-}
-
 RangeHistogram::RangeHistogram(std::vector<std::uint64_t> upper_bounds)
     : bounds_(std::move(upper_bounds)), w_(bounds_.size(), 0.0)
 {
@@ -104,13 +95,6 @@ RangeHistogram::labelAt(unsigned r) const
     return std::to_string(lo) + "-" + std::to_string(hi);
 }
 
-void
-RangeHistogram::clear()
-{
-    std::fill(w_.begin(), w_.end(), 0.0);
-    total_ = 0.0;
-}
-
 LinearHistogram::LinearHistogram(int lo, int hi)
     : lo_(lo), hi_(hi), w_(static_cast<size_t>(hi - lo + 1), 0.0)
 {
@@ -139,14 +123,6 @@ double
 LinearHistogram::fractionAt(int v) const
 {
     return total_ > 0.0 ? weightAt(v) / total_ : 0.0;
-}
-
-void
-LinearHistogram::clear()
-{
-    std::fill(w_.begin(), w_.end(), 0.0);
-    total_ = 0.0;
-    dropped_ = 0.0;
 }
 
 } // namespace pifetch

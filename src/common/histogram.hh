@@ -50,9 +50,6 @@ class Log2Histogram
     /** Index of the highest non-empty bucket (0 if empty). */
     unsigned highestBucket() const;
 
-    /** Reset to empty. */
-    void clear();
-
   private:
     std::vector<double> w_;
     double total_ = 0.0;
@@ -93,9 +90,6 @@ class RangeHistogram
     /** Total weight across all ranges. */
     double totalWeight() const { return total_; }
 
-    /** Reset to empty. */
-    void clear();
-
   private:
     std::vector<std::uint64_t> bounds_;
     std::vector<double> w_;
@@ -131,9 +125,6 @@ class LinearHistogram
 
     /** Total weight of dropped (out-of-range) samples. */
     double dropped() const { return dropped_; }
-
-    /** Reset to empty. */
-    void clear();
 
   private:
     int lo_;

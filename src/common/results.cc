@@ -821,68 +821,6 @@ makeTable(const std::string &title,
     return t;
 }
 
-// -------------------------------------------------- domain serializers
-
-ResultValue
-toResult(const Log2Histogram &h)
-{
-    ResultValue buckets = ResultValue::array();
-    if (h.totalWeight() > 0.0) {
-        for (unsigned b = 0; b <= h.highestBucket(); ++b) {
-            ResultValue e = ResultValue::object();
-            e.set("log2", b);
-            e.set("weight", h.weightAt(b));
-            e.set("fraction", h.fractionAt(b));
-            e.set("cumulative", h.cumulativeAt(b));
-            buckets.push(std::move(e));
-        }
-    }
-    ResultValue out = ResultValue::object();
-    out.set("kind", "log2");
-    out.set("total_weight", h.totalWeight());
-    out.set("buckets", std::move(buckets));
-    return out;
-}
-
-ResultValue
-toResult(const RangeHistogram &h)
-{
-    ResultValue buckets = ResultValue::array();
-    for (unsigned r = 0; r < h.ranges(); ++r) {
-        ResultValue e = ResultValue::object();
-        e.set("label", h.labelAt(r));
-        e.set("weight", h.weightAt(r));
-        e.set("fraction", h.fractionAt(r));
-        buckets.push(std::move(e));
-    }
-    ResultValue out = ResultValue::object();
-    out.set("kind", "range");
-    out.set("total_weight", h.totalWeight());
-    out.set("buckets", std::move(buckets));
-    return out;
-}
-
-ResultValue
-toResult(const LinearHistogram &h)
-{
-    ResultValue buckets = ResultValue::array();
-    for (int v = h.lo(); v <= h.hi(); ++v) {
-        ResultValue e = ResultValue::object();
-        e.set("value", v);
-        e.set("weight", h.weightAt(v));
-        e.set("fraction", h.fractionAt(v));
-        buckets.push(std::move(e));
-    }
-    ResultValue out = ResultValue::object();
-    out.set("kind", "linear");
-    out.set("lo", h.lo());
-    out.set("hi", h.hi());
-    out.set("total_weight", h.totalWeight());
-    out.set("dropped_weight", h.dropped());
-    out.set("buckets", std::move(buckets));
-    return out;
-}
-
 std::optional<std::vector<std::uint64_t>>
 uintArrayFromResult(const ResultValue &v)
 {
@@ -901,18 +839,6 @@ uintArrayFromResult(const ResultValue &v)
             return std::nullopt;
         }
     }
-    return out;
-}
-
-ResultValue
-toResult(const StatGroup &g)
-{
-    ResultValue counters = ResultValue::object();
-    for (const Counter *c : g.counters())
-        counters.set(c->name(), c->value());
-    ResultValue out = ResultValue::object();
-    out.set("group", g.name());
-    out.set("counters", std::move(counters));
     return out;
 }
 

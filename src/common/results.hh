@@ -30,9 +30,6 @@
 #include <utility>
 #include <vector>
 
-#include "common/histogram.hh"
-#include "common/stats.hh"
-
 namespace pifetch {
 
 /**
@@ -174,18 +171,6 @@ std::string renderText(const ResultValue &v);
 /** Convention helper: a table node {title, columns, rows:[]}. */
 ResultValue makeTable(const std::string &title,
                       const std::vector<std::string> &columns);
-
-/** Serialize a Log2Histogram (buckets up to the highest non-empty). */
-ResultValue toResult(const Log2Histogram &h);
-
-/** Serialize a RangeHistogram with its range labels. */
-ResultValue toResult(const RangeHistogram &h);
-
-/** Serialize a LinearHistogram including the dropped weight. */
-ResultValue toResult(const LinearHistogram &h);
-
-/** Serialize a StatGroup's counters as {<group>.<name>: value}. */
-ResultValue toResult(const StatGroup &g);
 
 /**
  * Serialize an unsigned-integer column as a JSON array. The columnar

@@ -166,17 +166,6 @@ FrontStage::stepBatch(const RecordBatch &batch, std::vector<FrontStep> &out)
     }
 }
 
-void
-FrontStage::reset()
-{
-    direction_.reset();
-    btb_.reset();
-    ras_.reset();
-    curBlock_ = invalidAddr;
-    prevTl_ = 0;
-    predictions_ = 0;
-}
-
 Frontend::Frontend(const SystemConfig &cfg, Cache &l1i, std::uint64_t seed)
     : front_(cfg, seed), l1i_(l1i), lineBuffer_(2)
 {
@@ -245,18 +234,6 @@ bool
 Frontend::step(const RetiredInstr &instr, std::vector<FetchAccess> &events)
 {
     return fetchStep(front_.step(instr), events);
-}
-
-void
-Frontend::reset()
-{
-    front_.reset();
-    lineBuffer_.clear();
-    curBlockTagged_ = true;
-    mispredicts_ = 0;
-    wrongPathFetches_ = 0;
-    correctPathFetches_ = 0;
-    correctPathMisses_ = 0;
 }
 
 } // namespace pifetch

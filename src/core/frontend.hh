@@ -127,9 +127,6 @@ class FrontStage
     /** Control transfers predicted. */
     std::uint64_t predictions() const { return predictions_; }
 
-    /** Reset predictor and collapse state. */
-    void reset();
-
   private:
     /**
      * Predict the control transfer of @p instr.
@@ -216,12 +213,6 @@ class Frontend
     }
     /** Correct-path fetches that missed in the L1-I. */
     std::uint64_t correctPathMisses() const { return correctPathMisses_; }
-
-    /** The line buffer between core and L1-I (tests). */
-    LineBuffer &lineBuffer() { return lineBuffer_; }
-
-    /** Reset both stages (the cache is not touched). */
-    void reset();
 
   private:
     /**

@@ -100,7 +100,7 @@ isEngineFile(const std::string &path)
     return false;
 }
 
-/** Files holding concrete prefetcher/predictor/policy types. */
+/** Files holding concrete prefetcher/predictor types. */
 bool
 isConcreteTypeFile(const std::string &path)
 {
@@ -110,8 +110,7 @@ isConcreteTypeFile(const std::string &path)
     for (const char *p : prefixes)
         if (startsWith(path, p))
             return true;
-    return path == "src/cache/replacement.hh" ||
-           path == "src/cache/replacement.cc";
+    return false;
 }
 
 void
@@ -902,117 +901,6 @@ checkGlobalInit(const SourceFile &f, const LintContext &,
     }
 }
 
-void
-checkStatsOrder(const SourceFile &f, const LintContext &,
-                const Rule &rule, std::vector<Violation> &out)
-{
-    if (!startsWith(f.path, "src/"))
-        return;
-    const Tokens &toks = f.lex.tokens;
-    ScopeTracker scopes(toks);
-
-    struct ClassRecord
-    {
-        std::size_t depth = 0;
-        long firstGroup = -1;                       // member order
-        std::vector<std::pair<long, unsigned>> counters;  // order,line
-        long members = 0;
-    };
-    std::vector<ClassRecord> classes;
-
-    const auto closeClass = [&](std::size_t depthNow) {
-        while (!classes.empty() && classes.back().depth > depthNow) {
-            const ClassRecord &c = classes.back();
-            if (c.firstGroup >= 0) {
-                for (const auto &[order, line] : c.counters) {
-                    if (order < c.firstGroup) {
-                        addViolation(
-                            out, rule, line,
-                            "Counter member declared before the "
-                            "StatGroup it enrolls in; members "
-                            "destroy in reverse order, so the "
-                            "group would die first and the "
-                            "counter's unenroll would dangle "
-                            "(the PR 3 bug)");
-                    }
-                }
-            }
-            classes.pop_back();
-        }
-    };
-
-    std::size_t stmt = 0;
-    for (std::size_t i = 0; i < toks.size(); ++i) {
-        const std::size_t depthBefore = scopes.depth();
-        const bool boundary = scopes.step(i);
-        if (boundary) {
-            if (scopes.depth() < depthBefore)
-                closeClass(scopes.depth());
-            else if (scopes.current() &&
-                     scopes.current()->kind == Scope::Kind::Class) {
-                ClassRecord rec;
-                rec.depth = scopes.depth();
-                classes.push_back(rec);
-            }
-            stmt = i + 1;
-            continue;
-        }
-        if (isPunct(toks[i], ";") ||
-            toks[i].kind == Token::Kind::Directive) {
-            stmt = i + 1;
-            continue;
-        }
-        // Access-specifier labels restart the member statement.
-        if (isPunct(toks[i], ":") && i == stmt + 1 &&
-            (isIdent(toks[stmt], "public") ||
-             isIdent(toks[stmt], "private") ||
-             isIdent(toks[stmt], "protected"))) {
-            stmt = i + 1;
-            continue;
-        }
-        if (i != stmt)
-            continue;
-
-        // Statement head: optional qualifiers, then Counter/StatGroup
-        // by value, then a member/variable name.
-        std::size_t j = i;
-        while (j < toks.size() && (isIdent(toks[j], "mutable") ||
-                                   isIdent(toks[j], "static") ||
-                                   isIdent(toks[j], "const")))
-            ++j;
-        if (j + 1 >= toks.size())
-            continue;
-        const bool isCounter = isIdent(toks[j], "Counter");
-        const bool isGroup = isIdent(toks[j], "StatGroup");
-        if (!isCounter && !isGroup)
-            continue;
-        if (toks[j + 1].kind != Token::Kind::Ident)
-            continue;  // ctor decl, pointer, reference, ...
-
-        const bool inClass =
-            scopes.current() &&
-            scopes.current()->kind == Scope::Kind::Class &&
-            !classes.empty() && classes.back().depth == scopes.depth();
-        if (inClass) {
-            ClassRecord &rec = classes.back();
-            const long order = rec.members++;
-            if (isGroup && rec.firstGroup < 0)
-                rec.firstGroup = order;
-            if (isCounter)
-                rec.counters.emplace_back(order, toks[j].line);
-        } else if (scopes.atNamespaceScope()) {
-            addViolation(out, rule, toks[j].line,
-                         "'" + toks[j + 1].text +
-                             "' gives a " + toks[j].text +
-                             " static storage duration; enrollment "
-                             "would run during static init and "
-                             "unenrollment after main — keep stat "
-                             "objects inside engine/cache instances");
-        }
-    }
-    closeClass(0);
-}
-
 // ------------------------------------------------- catalog assembly
 
 std::vector<Rule>
@@ -1330,37 +1218,6 @@ buildCatalog()
             "}\n"
             "}\n";
         r.check = &checkGlobalInit;
-        add(r);
-    }
-    {
-        Rule r;
-        r.id = "S-stats-order";
-        r.category = "structure";
-        r.severity = Severity::Error;
-        r.summary = "StatGroup before its Counters; never static";
-        r.rationale =
-            "A Counter unenrolls from its StatGroup on destruction; "
-            "declaring the group after a counter (or giving either "
-            "static storage) recreates the PR 3 dangling-enrollment "
-            "bug.";
-        r.fixture.path = "src/sim/fixture.hh";
-        r.fixture.bad =
-            "#pragma once\n"
-            "#include \"common/stats.hh\"\n"
-            "class Core {\n"
-            "  private:\n"
-            "    Counter hits_;\n"
-            "    StatGroup stats_;\n"
-            "};\n";
-        r.fixture.good =
-            "#pragma once\n"
-            "#include \"common/stats.hh\"\n"
-            "class Core {\n"
-            "  private:\n"
-            "    StatGroup stats_;\n"
-            "    Counter hits_;\n"
-            "};\n";
-        r.check = &checkStatsOrder;
         add(r);
     }
 

@@ -11,11 +11,9 @@
  *    these rules reject the *sources* of nondeterminism outright.
  *  - H (hot path): the replay loop stays allocation-free and
  *    devirtualized (the PR 4 speedup), and concrete prefetcher /
- *    predictor / policy types stay `final` so engine dispatch keeps
+ *    predictor types stay `final` so engine dispatch keeps
  *    monomorphizing.
- *  - S (structure): header hygiene and the Counter/StatGroup
- *    enrollment ordering that caused the PR 3 dangling-enrollment
- *    bug.
+ *  - S (structure): header hygiene.
  *
  * Every rule ships with a positive and a negative fixture snippet;
  * `pifetch lint --self-test` (and tests/test_lint.cc) replays them
@@ -64,8 +62,9 @@ struct SourceFile
  * Today: the names of variables/members declared with an unordered
  * container type, so iteration in a .cc over a member declared in
  * its header is still caught. A declaration only applies to files
- * sharing its path stem (mshr.cc <-> mshr.hh): matching on the bare
- * name repo-wide would flag every same-named vector elsewhere.
+ * sharing its path stem (cycle_engine.cc <-> cycle_engine.hh):
+ * matching on the bare name repo-wide would flag every same-named
+ * vector elsewhere.
  */
 struct LintContext
 {
@@ -77,7 +76,8 @@ struct LintContext
                         const std::string &stem) const;
 };
 
-/** @p path without its extension: "src/cache/mshr.cc" -> ".../mshr". */
+/** @p path without its extension: "src/sim/trace_engine.cc" ->
+ *  ".../trace_engine". */
 std::string pathStem(const std::string &path);
 
 /** Self-test fixture: @p bad must fire the rule, @p good must not. */

@@ -92,15 +92,4 @@ IndexTable::lookup(Addr pc)
     return std::nullopt;
 }
 
-void
-IndexTable::reset()
-{
-    for (Entry &e : entries_)
-        e = Entry{};
-    map_.clear();
-    tick_ = 0;
-    lookups_ = 0;
-    hits_ = 0;
-}
-
 } // namespace pifetch

@@ -48,9 +48,6 @@ class IndexTable
     /** Lookups that hit. */
     std::uint64_t hits() const { return hits_; }
 
-    /** Drop all mappings. */
-    void reset();
-
   private:
     struct Entry
     {

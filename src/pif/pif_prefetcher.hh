@@ -111,16 +111,6 @@ class PifPrefetcher final : public Prefetcher
     void onFetchAccess(const FetchInfo &info) override;
     void onRetire(const RetiredInstr &instr, bool tagged) override;
 
-    /**
-     * Same-block retire runs hit the spatial compactor's same-block
-     * early-out on every instruction, so only its PC counter moves.
-     */
-    void
-    onRetireSameBlockRun(TrapLevel tl, std::uint32_t count) override
-    {
-        chains_[chainFor(tl)].spatial->observeSameBlock(count);
-    }
-
     unsigned drainRequests(std::vector<Addr> &out, unsigned max) override;
     void resetStats() override;
 

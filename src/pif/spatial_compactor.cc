@@ -22,7 +22,6 @@ SpatialCompactor::flush()
         return std::nullopt;
     active_ = false;
     lastBlock_ = invalidAddr;
-    ++regionsEmitted_;
     return current_;
 }
 

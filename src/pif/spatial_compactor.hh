@@ -57,15 +57,12 @@ class SpatialCompactor
     std::optional<SpatialRegion>
     observe(Addr pc, bool tagged, TrapLevel tl)
     {
-        ++observedPcs_;
-
         const Addr block = blockAddr(pc);
         // Collapse consecutive retired PCs within the same block: the
         // history predicts block addresses, not instruction addresses.
         if (block == lastBlock_)
             return std::nullopt;
         lastBlock_ = block;
-        ++blockAccesses_;
 
         if (active_) {
             const std::int64_t off = static_cast<std::int64_t>(block) -
@@ -84,10 +81,8 @@ class SpatialCompactor
         // Outside the current region (or no region yet): emit and
         // restart.
         std::optional<SpatialRegion> done;
-        if (active_) {
+        if (active_)
             done = current_;
-            ++regionsEmitted_;
-        }
         current_ = SpatialRegion{};
         current_.triggerPc = pc;
         current_.trapLevel = tl;
@@ -96,27 +91,11 @@ class SpatialCompactor
         return done;
     }
 
-    /**
-     * Observe @p n consecutive retiring instructions already known to
-     * fall in the block of the previous observation. Equivalent to
-     * @p n observe() calls that all take the same-block early-out:
-     * only the PC counter advances. The batched engines use this to
-     * collapse same-block retire runs.
-     */
-    void observeSameBlock(std::uint64_t n) { observedPcs_ += n; }
-
     /** Flush the in-progress region (end of trace). */
     std::optional<SpatialRegion> flush();
 
     unsigned blocksBefore() const { return blocksBefore_; }
     unsigned blocksAfter() const { return blocksAfter_; }
-
-    /** Retired PCs observed (before block collapsing). */
-    std::uint64_t observedPcs() const { return observedPcs_; }
-    /** Block-granularity accesses after collapsing. */
-    std::uint64_t blockAccesses() const { return blockAccesses_; }
-    /** Region records emitted. */
-    std::uint64_t regionsEmitted() const { return regionsEmitted_; }
 
   private:
     unsigned blocksBefore_;
@@ -125,10 +104,6 @@ class SpatialCompactor
     bool active_ = false;
     SpatialRegion current_;
     Addr lastBlock_ = invalidAddr;  //!< same-block collapse filter
-
-    std::uint64_t observedPcs_ = 0;
-    std::uint64_t blockAccesses_ = 0;
-    std::uint64_t regionsEmitted_ = 0;
 };
 
 } // namespace pifetch

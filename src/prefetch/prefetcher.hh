@@ -73,26 +73,6 @@ class Prefetcher
     }
 
     /**
-     * A run of @p count consecutive instructions retired, all plain,
-     * all at trap level @p tl, and all fetched from the same block as
-     * the immediately preceding retire. Semantically equivalent to
-     * @p count onRetire() calls whose PCs stay inside that block; the
-     * batched replay loop uses it to collapse same-block runs when no
-     * observers are attached.
-     *
-     * The default matches the default onRetire() (a no-op).
-     * Implementations that override onRetire() with behaviour beyond a
-     * same-block collapse must override this hook consistently — the
-     * batched-vs-scalar differential suite locks the equivalence for
-     * every shipped prefetcher.
-     */
-    virtual void
-    onRetireSameBlockRun(TrapLevel tl, std::uint32_t count)
-    {
-        (void)tl; (void)count;
-    }
-
-    /**
      * Move up to @p max pending prefetch candidates into @p out.
      * @return the number of candidates produced.
      */

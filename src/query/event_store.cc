@@ -213,12 +213,6 @@ EventStore::sampleCounters(unsigned core, const CounterSnapshot &snap)
     }
 }
 
-void
-EventStore::clear()
-{
-    *this = EventStore(opts_);
-}
-
 InstCount
 EventStore::retired(unsigned core) const
 {

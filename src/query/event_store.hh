@@ -162,9 +162,6 @@ class EventStore final
     /** Append one row per counter with @p core's current snapshot. */
     void sampleCounters(unsigned core, const CounterSnapshot &snap);
 
-    /** Reset to a freshly-constructed (empty) store. */
-    void clear();
-
     // -------------------------------------------- the slices table
 
     std::size_t sliceCount() const { return sliceInstr_.size(); }

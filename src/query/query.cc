@@ -8,6 +8,8 @@
 #include <algorithm>
 #include <map>
 
+#include "common/histogram.hh"
+
 namespace pifetch {
 
 namespace {

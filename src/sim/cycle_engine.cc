@@ -19,7 +19,7 @@ constexpr unsigned drainPerStep = 4;
 CycleEngine::CycleEngine(const SystemConfig &cfg, PrefetcherKind kind)
     : cfg_(cfg),
       kind_(kind),
-      l1i_(cfg.l1i, ReplacementKind::LRU, cfg.seed),
+      l1i_(cfg.l1i),
       frontend_(cfg, l1i_, frontendSeed(cfg)),
       hierarchy_(cfg.memory),
       prefetcher_(makePrefetcher(kind, cfg)),
@@ -163,14 +163,14 @@ CycleEngine::backStage(P &prefetcher, bool measuring,
         timing_.instruction(s.trapLevel);
         issuePrefetches(prefetcher);
 
-        // The same-block run: no fetches, but fills, retire, timing
-        // and issue stay per instruction.
+        // The same-block run: no fetches, and no retire hook call
+        // (PIF's spatial compactor drops a PC in the block it saw
+        // last), but fills, timing and issue stay per instruction.
         for (std::uint32_t k = 0; k < s.sameBlock; ++k) {
             processReadyFills();
             if (observed)
                 observers_.observeStep(observed->get(at++), nullptr, 0,
                                        *exec_, frontend_, l1i_);
-            prefetcher.onRetireSameBlockRun(s.trapLevel, 1);
             timing_.instruction(s.trapLevel);
             issuePrefetches(prefetcher);
         }

@@ -27,7 +27,6 @@
 
 #include "cache/cache.hh"
 #include "cache/hierarchy.hh"
-#include "cache/mshr.hh"
 #include "common/config.hh"
 #include "core/cycle_core.hh"
 #include "core/frontend.hh"

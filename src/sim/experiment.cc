@@ -39,7 +39,7 @@ runFig2(const WorkloadRef &w, const ExperimentBudget &budget,
 {
     const Program prog = w.buildProgram();
     Executor exec(prog, w.executorConfig());
-    Cache l1i(cfg.l1i, ReplacementKind::LRU, cfg.seed);
+    Cache l1i(cfg.l1i);
     Frontend frontend(cfg, l1i, frontendSeed(cfg));
 
     TemporalStreamPredictor miss_pred(studyPredictorConfig());

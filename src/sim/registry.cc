@@ -973,19 +973,6 @@ parseBool(const std::string &s, bool &out)
     return false;
 }
 
-bool
-parseDouble(const std::string &s, double &out)
-{
-    if (s.empty())
-        return false;
-    char *end = nullptr;
-    const double v = std::strtod(s.c_str(), &end);
-    if (!end || *end != '\0')
-        return false;
-    out = v;
-    return true;
-}
-
 } // namespace
 
 bool
@@ -994,7 +981,6 @@ applyConfigOverride(SystemConfig &cfg, const std::string &key,
 {
     std::uint64_t u = 0;
     bool b = false;
-    double d = 0.0;
 
     const auto setU = [&](auto &field) {
         using Field = std::decay_t<decltype(field)>;
@@ -1040,13 +1026,6 @@ applyConfigOverride(SystemConfig &cfg, const std::string &key,
     if (key == "tifs.sabWindowBlocks")
         return setU(cfg.tifs.sabWindowBlocks);
     if (key == "nextLine.degree") return setU(cfg.nextLine.degree);
-    if (key == "trap.perInstrProbability") {
-        if (!parseDouble(value, d))
-            return false;
-        cfg.trap.perInstrProbability = d;
-        return true;
-    }
-    if (key == "trap.handlerCount") return setU(cfg.trap.handlerCount);
     return false;
 }
 
@@ -1063,7 +1042,6 @@ configOverrideKeys()
         "pif.sabWindowRegions", "pif.separateTrapLevels",
         "tifs.historyEntries", "tifs.sabWindowBlocks",
         "nextLine.degree",
-        "trap.perInstrProbability", "trap.handlerCount",
     };
     return keys;
 }

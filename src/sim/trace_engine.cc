@@ -20,7 +20,7 @@ constexpr unsigned drainPerStep = 16;
 TraceEngine::TraceEngine(const SystemConfig &cfg,
                          std::unique_ptr<Prefetcher> prefetcher)
     : cfg_(cfg),
-      l1i_(cfg.l1i, ReplacementKind::LRU, cfg.seed),
+      l1i_(cfg.l1i),
       frontend_(cfg, l1i_, frontendSeed(cfg)),
       prefetcher_(std::move(prefetcher))
 {
@@ -111,6 +111,9 @@ TraceEngine::backStage(P &prefetcher, const RecordBatch *observed)
         prefetcher.onRetire(retired, tagged);
         drainFills(prefetcher, observing);
 
+        // The same-block run retires without a retire hook call: the
+        // only retire hook that does anything is PIF's, whose spatial
+        // compactor drops a PC in the block it saw last.
         if (s.sameBlock == 0)
             continue;
         if (observing) {
@@ -118,21 +121,15 @@ TraceEngine::backStage(P &prefetcher, const RecordBatch *observed)
             for (std::uint32_t k = 0; k < s.sameBlock; ++k) {
                 observers_.observeStep(observed->get(at++), nullptr, 0,
                                        *exec_, frontend_, l1i_);
-                prefetcher.onRetireSameBlockRun(s.trapLevel, 1);
                 drainFills(prefetcher, true);
             }
             continue;
         }
-        // Bulk same-block run: no front-end work and no fetches, so
-        // the prefetcher sees one same-block-run retire (exactly
-        // equivalent to the per-instruction calls — every shipped
-        // retire hook is either a no-op or the spatial compactor's
-        // same-block early-out), and the drain keeps its
-        // per-instruction budget. No accesses intervene, so nothing
-        // enqueues mid-run: once a drain comes back empty the queue
-        // stays empty, and stopping early is state-identical to
-        // draining once per instruction.
-        prefetcher.onRetireSameBlockRun(s.trapLevel, s.sameBlock);
+        // Bulk same-block run: no front-end work and no fetches, and
+        // the drain keeps its per-instruction budget. No accesses
+        // intervene, so nothing enqueues mid-run: once a drain comes
+        // back empty the queue stays empty, and stopping early is
+        // state-identical to draining once per instruction.
         for (std::uint32_t k = 0; k < s.sameBlock; ++k) {
             drain_.clear();
             if (prefetcher.drainRequests(drain_, drainPerStep) == 0)

@@ -154,19 +154,4 @@ TemporalStreamPredictor::finish()
         closeEpisode(s);
 }
 
-void
-TemporalStreamPredictor::reset()
-{
-    if (cfg_.historyCapacity == 0)
-        ring_.clear();
-    tail_ = 0;
-    index_.reset();
-    for (Stream &s : streams_)
-        s = Stream{};
-    tick_ = 0;
-    observations_ = 0;
-    predicted_ = 0;
-    triggers_ = 0;
-}
-
 } // namespace pifetch

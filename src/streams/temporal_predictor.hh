@@ -106,9 +106,6 @@ class TemporalStreamPredictor
     /** Streams triggered. */
     std::uint64_t triggers() const { return triggers_; }
 
-    /** Reset all state. */
-    void reset();
-
   private:
     struct Stream
     {

@@ -84,16 +84,6 @@ struct Function
     /** True for interrupt-handler functions (executed at TL1). */
     bool isHandler = false;
 
-    /** Total instructions in the function. */
-    std::uint64_t
-    totalInstrs() const
-    {
-        std::uint64_t n = 0;
-        for (const auto &b : blocks)
-            n += b.numInstrs;
-        return n;
-    }
-
     /** Byte address one past the end of the function body. */
     Addr
     end() const

@@ -67,21 +67,6 @@ struct RetiredInstr
         }
         return pc + instrBytes;
     }
-
-    /** True for any instruction that can redirect fetch. */
-    bool
-    isControl() const
-    {
-        return kind != InstrKind::Plain;
-    }
-
-    /** True for asynchronous (unpredictable) control transfers. */
-    bool
-    isTrap() const
-    {
-        return kind == InstrKind::TrapEnter ||
-               kind == InstrKind::TrapReturn;
-    }
 };
 
 /**

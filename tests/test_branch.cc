@@ -38,21 +38,13 @@ TEST(Bimodal, LearnsBiasedBranch)
 {
     BimodalPredictor p(1024);
     const Addr pc = 0x4000;
+    EXPECT_TRUE(p.predict(pc));  // power-on state is weakly taken
     for (int i = 0; i < 4; ++i)
         p.update(pc, false);
     EXPECT_FALSE(p.predict(pc));
     for (int i = 0; i < 4; ++i)
         p.update(pc, true);
     EXPECT_TRUE(p.predict(pc));
-}
-
-TEST(Bimodal, ResetRestoresWeaklyTaken)
-{
-    BimodalPredictor p(64);
-    p.update(0, false);
-    p.update(0, false);
-    p.reset();
-    EXPECT_TRUE(p.predict(0));  // power-on state is weakly taken
 }
 
 TEST(Gshare, HistoryShiftsWithOutcomes)
@@ -103,15 +95,6 @@ TEST(Hybrid, ChooserPicksBetterComponent)
     EXPECT_GT(correct, 1700);
     EXPECT_EQ(h.predictions(), 2000u);
     EXPECT_EQ(h.mispredicts(), 2000u - static_cast<unsigned>(correct));
-}
-
-TEST(Hybrid, ResetClearsCounters)
-{
-    HybridPredictor h(BranchConfig{});
-    h.predictAndUpdate(0x10, true);
-    h.reset();
-    EXPECT_EQ(h.predictions(), 0u);
-    EXPECT_EQ(h.mispredicts(), 0u);
 }
 
 TEST(Btb, MissThenHitAfterUpdate)
@@ -180,15 +163,6 @@ TEST(Ras, DepthSaturatesAtCapacity)
     ras.push(2);
     ras.push(3);
     EXPECT_EQ(ras.depth(), 2u);
-}
-
-TEST(Ras, ResetEmpties)
-{
-    ReturnAddressStack ras(4);
-    ras.push(5);
-    ras.reset();
-    EXPECT_EQ(ras.depth(), 0u);
-    EXPECT_EQ(ras.pop(), invalidAddr);
 }
 
 /** Property: prediction accuracy on random-but-biased branch sets. */

@@ -5,7 +5,11 @@
 
 #include <gtest/gtest.h>
 
+#include <tuple>
+#include <vector>
+
 #include "cache/cache.hh"
+#include "common/rng.hh"
 
 namespace pifetch {
 namespace {
@@ -85,62 +89,12 @@ TEST(Cache, PrefetchedBitLifecycle)
     EXPECT_EQ(c.usefulPrefetches(), 1u);
 }
 
-TEST(Cache, UnusedPrefetchCountedOnEviction)
-{
-    Cache c(tinyCache());
-    c.fill(0, true);
-    c.fill(2);
-    c.access(2);
-    c.fill(4);  // evicts LRU = block 0, still prefetched
-    EXPECT_EQ(c.unusedPrefetches(), 1u);
-}
-
 TEST(Cache, RefillDoesNotDowngradeDemandLine)
 {
     Cache c(tinyCache());
     c.fill(1, false);
     c.fill(1, true);  // prefetch racing an existing demand line
     EXPECT_FALSE(c.isPrefetched(1));
-}
-
-TEST(Cache, InvalidateRemovesBlock)
-{
-    Cache c(tinyCache());
-    c.fill(1);
-    EXPECT_TRUE(c.invalidate(1));
-    EXPECT_FALSE(c.probe(1));
-    EXPECT_FALSE(c.invalidate(1));
-}
-
-TEST(Cache, FlushEmptiesEverything)
-{
-    Cache c(tinyCache());
-    c.fill(0);
-    c.fill(1);
-    c.flush();
-    EXPECT_EQ(c.validLines(), 0u);
-    EXPECT_FALSE(c.probe(0));
-}
-
-TEST(Cache, ValidLinesTracksOccupancy)
-{
-    Cache c(tinyCache());
-    EXPECT_EQ(c.validLines(), 0u);
-    c.fill(0);
-    c.fill(1);
-    c.fill(2);
-    EXPECT_EQ(c.validLines(), 3u);
-    c.fill(4);  // evicts within the full set 0: occupancy unchanged
-    EXPECT_EQ(c.validLines(), 3u);
-}
-
-TEST(Cache, MissRatio)
-{
-    Cache c(tinyCache());
-    c.access(0);  // miss
-    c.fill(0);
-    c.access(0);  // hit
-    EXPECT_DOUBLE_EQ(c.missRatio(), 0.5);
 }
 
 TEST(CacheDeath, RejectsNonPowerOfTwoSets)
@@ -199,6 +153,151 @@ INSTANTIATE_TEST_SUITE_P(
     Geometries, CacheGeometry,
     ::testing::Combine(::testing::Values(0u, 1u, 3u, 6u),
                        ::testing::Values(1u, 2u, 4u, 16u)));
+
+/**
+ * Reference model of the cache: one recency list per set, most
+ * recently used first, each line with its prefetched bit.
+ */
+class ReferenceCache
+{
+  public:
+    struct Line
+    {
+        Addr block;
+        bool prefetched;
+    };
+
+    ReferenceCache(std::uint64_t sets, unsigned ways)
+        : ways_(ways), sets_(sets)
+    {
+    }
+
+    Cache::AccessResult
+    access(Addr block)
+    {
+        Cache::AccessResult res;
+        std::vector<Line> &set = setOf(block);
+        const auto it = findIn(set, block);
+        if (it == set.end()) {
+            ++misses;
+            return res;
+        }
+        res.hit = true;
+        res.firstDemandOfPrefetch = it->prefetched;
+        useful += it->prefetched ? 1 : 0;
+        ++hits;
+        set.erase(it);
+        set.insert(set.begin(), Line{block, false});
+        return res;
+    }
+
+    Addr
+    fill(Addr block, bool prefetched)
+    {
+        std::vector<Line> &set = setOf(block);
+        const auto it = findIn(set, block);
+        Line line{block, prefetched};
+        Addr victim = invalidAddr;
+        if (it != set.end()) {
+            line.prefetched = it->prefetched && prefetched;
+            set.erase(it);
+        } else {
+            prefetchFills += prefetched ? 1 : 0;
+            if (set.size() == ways_) {
+                victim = set.back().block;
+                set.pop_back();
+            }
+        }
+        set.insert(set.begin(), line);
+        return victim;
+    }
+
+    /** The line holding @p block, or nullptr. */
+    const Line *
+    find(Addr block)
+    {
+        std::vector<Line> &set = setOf(block);
+        const auto it = findIn(set, block);
+        return it == set.end() ? nullptr : &*it;
+    }
+
+    std::uint64_t hits = 0;
+    std::uint64_t misses = 0;
+    std::uint64_t prefetchFills = 0;
+    std::uint64_t useful = 0;
+
+  private:
+    std::vector<Line> &setOf(Addr block)
+    {
+        return sets_[block % sets_.size()];
+    }
+
+    static std::vector<Line>::iterator
+    findIn(std::vector<Line> &set, Addr block)
+    {
+        auto it = set.begin();
+        while (it != set.end() && it->block != block)
+            ++it;
+        return it;
+    }
+
+    unsigned ways_;
+    std::vector<std::vector<Line>> sets_;
+};
+
+/**
+ * Seeded random access/fill/probe operations against the reference
+ * model; every result and the probed block's state must agree after
+ * each operation.
+ */
+class CacheReference
+    : public ::testing::TestWithParam<std::tuple<unsigned, unsigned>>
+{
+};
+
+TEST_P(CacheReference, MatchesPerSetRecencyLists)
+{
+    const auto [sets, ways] = GetParam();
+    Cache c(tinyCache(std::uint64_t{sets} * ways * 64, ways));
+    ASSERT_EQ(c.sets(), sets);
+    ReferenceCache ref(sets, ways);
+    Rng rng(std::uint64_t{sets} * 131 + ways);
+
+    // About twice the capacity, over four tag ranges far apart, so
+    // sets overflow and victims carry high tag bits.
+    const std::uint64_t low = std::uint64_t{sets} * ways / 2 + 1;
+    for (int op = 0; op < 20'000; ++op) {
+        const Addr block = (rng.below(4) << 40) | rng.below(low);
+        const std::uint64_t kind = rng.below(100);
+        if (kind < 45) {
+            const Cache::AccessResult got = c.access(block);
+            const Cache::AccessResult want = ref.access(block);
+            ASSERT_EQ(got.hit, want.hit) << "op " << op;
+            ASSERT_EQ(got.firstDemandOfPrefetch,
+                      want.firstDemandOfPrefetch) << "op " << op;
+        } else if (kind < 85) {
+            const bool prefetched = rng.chance(0.5);
+            ASSERT_EQ(c.fill(block, prefetched),
+                      ref.fill(block, prefetched)) << "op " << op;
+        }
+        // The remaining operations are probes alone.
+        const ReferenceCache::Line *line = ref.find(block);
+        ASSERT_EQ(c.probe(block), line != nullptr) << "op " << op;
+        ASSERT_EQ(c.isPrefetched(block), line && line->prefetched)
+            << "op " << op;
+    }
+    EXPECT_EQ(c.hits(), ref.hits);
+    EXPECT_EQ(c.misses(), ref.misses);
+    EXPECT_EQ(c.prefetchFills(), ref.prefetchFills);
+    EXPECT_EQ(c.usefulPrefetches(), ref.useful);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Geometries, CacheReference,
+    ::testing::Values(std::make_tuple(1u, 1u), std::make_tuple(1u, 8u),
+                      std::make_tuple(4u, 2u), std::make_tuple(16u, 4u),
+                      std::make_tuple(64u, 8u),
+                      std::make_tuple(512u, 2u)));
 
 } // namespace
 } // namespace pifetch

@@ -5,8 +5,6 @@
 
 #include <gtest/gtest.h>
 
-#include <sstream>
-
 #include "common/config.hh"
 
 namespace pifetch {
@@ -18,7 +16,6 @@ TEST(CacheConfig, TableIGeometry)
     // 64KB, 2-way, 64B blocks -> 512 sets.
     EXPECT_EQ(cfg.l1i.sets(), 512u);
     EXPECT_EQ(cfg.l1i.assoc, 2u);
-    EXPECT_EQ(cfg.l1i.hitLatency, 2u);
 }
 
 TEST(PifConfig, PaperDefaults)
@@ -40,7 +37,6 @@ TEST(CoreConfig, TableIWidths)
     EXPECT_EQ(core.dispatchWidth, 3u);
     EXPECT_EQ(core.retireWidth, 3u);
     EXPECT_EQ(core.robEntries, 96u);
-    EXPECT_EQ(core.fetchQueueEntries, 24u);
 }
 
 TEST(MemoryConfig, TableILatencies)
@@ -55,17 +51,6 @@ TEST(BranchConfig, TableIHybridSizing)
     const BranchConfig br;
     EXPECT_EQ(br.gshareEntries, 16u * 1024);
     EXPECT_EQ(br.bimodalEntries, 16u * 1024);
-}
-
-TEST(PrintSystemConfig, MentionsKeyStructures)
-{
-    std::ostringstream os;
-    printSystemConfig(SystemConfig{}, os);
-    const std::string s = os.str();
-    EXPECT_NE(s.find("l1i"), std::string::npos);
-    EXPECT_NE(s.find("history buffer"), std::string::npos);
-    EXPECT_NE(s.find("SABs"), std::string::npos);
-    EXPECT_NE(s.find("gshare"), std::string::npos);
 }
 
 TEST(Types, BlockArithmetic)

@@ -220,19 +220,6 @@ TEST(Frontend, TrapLevelChangeForcesRefetchWithoutMispredict)
     EXPECT_TRUE(ev[0].hit);  // it was filled on the first access
 }
 
-TEST(Frontend, ResetClearsCounters)
-{
-    SystemConfig cfg = testConfig();
-    Cache l1i(cfg.l1i);
-    Frontend fe(cfg, l1i, 1);
-    std::vector<FetchAccess> ev;
-    fe.step(plainAt(0x1000), ev);
-    fe.reset();
-    EXPECT_EQ(fe.correctPathFetches(), 0u);
-    EXPECT_EQ(fe.correctPathMisses(), 0u);
-    EXPECT_EQ(fe.mispredicts(), 0u);
-}
-
 TEST(Frontend, EndToEndStatisticsAreConsistent)
 {
     const Program prog = testutil::tinyProgram(0.5);

@@ -56,14 +56,6 @@ TEST(Hierarchy, CapacityEvictionsReMiss)
     EXPECT_EQ(h.request(0), 100u);  // long evicted
 }
 
-TEST(Hierarchy, FlushForgets)
-{
-    MemoryHierarchy h(smallMemory());
-    h.request(42);
-    h.flush();
-    EXPECT_FALSE(h.inL2(42));
-}
-
 TEST(Hierarchy, InstructionFootprintBecomesL2Resident)
 {
     // The paper's setup: multi-MB code fits in the 8MB L2, so steady-

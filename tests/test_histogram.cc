@@ -72,14 +72,6 @@ TEST(Log2Histogram, CumulativeIsMonotone)
     EXPECT_NEAR(h.cumulativeAt(8), 1.0, 1e-12);
 }
 
-TEST(Log2Histogram, ClearResets)
-{
-    Log2Histogram h(4);
-    h.add(5);
-    h.clear();
-    EXPECT_DOUBLE_EQ(h.totalWeight(), 0.0);
-}
-
 TEST(RangeHistogram, PaperFig3Buckets)
 {
     // The Figure 3 bucketing: 1, 2, 3-4, 5-8, 9-16, 17-32.

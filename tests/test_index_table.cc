@@ -58,15 +58,6 @@ TEST(IndexTable, UnboundedNeverEvicts)
         EXPECT_EQ(*t.lookup(pc), pc * 2);
 }
 
-TEST(IndexTable, ResetDropsAllMappings)
-{
-    IndexTable t(64, 4);
-    t.insert(0x1000, 1);
-    t.reset();
-    EXPECT_FALSE(t.lookup(0x1000).has_value());
-    EXPECT_EQ(t.lookups(), 1u);
-}
-
 TEST(IndexTableDeath, RejectsBadGeometry)
 {
     EXPECT_EXIT(IndexTable(10, 4), ::testing::ExitedWithCode(1),

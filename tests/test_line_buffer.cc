@@ -40,17 +40,5 @@ TEST(LineBuffer, DuplicateInsertIsNoOp)
     EXPECT_TRUE(lb.contains(2));
 }
 
-TEST(LineBuffer, RemoveAndClear)
-{
-    LineBuffer lb(4);
-    lb.insert(1);
-    lb.insert(2);
-    lb.remove(1);
-    EXPECT_FALSE(lb.contains(1));
-    EXPECT_TRUE(lb.contains(2));
-    lb.clear();
-    EXPECT_FALSE(lb.contains(2));
-}
-
 } // namespace
 } // namespace pifetch

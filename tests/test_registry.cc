@@ -116,13 +116,14 @@ TEST(ConfigOverrides, ApplyParseAndReject)
     EXPECT_TRUE(applyConfigOverride(cfg, "pif.separateTrapLevels",
                                     "off"));
     EXPECT_FALSE(cfg.pif.separateTrapLevels);
-    EXPECT_TRUE(applyConfigOverride(cfg, "trap.perInstrProbability",
-                                    "1e-4"));
-    EXPECT_DOUBLE_EQ(cfg.trap.perInstrProbability, 1e-4);
     EXPECT_TRUE(applyConfigOverride(cfg, "nextLine.degree", "8"));
     EXPECT_EQ(cfg.nextLine.degree, 8u);
 
     EXPECT_FALSE(applyConfigOverride(cfg, "no.such.key", "1"));
+    // Interrupt rates are workload parameters: no trap.* key exists.
+    EXPECT_FALSE(applyConfigOverride(cfg, "trap.perInstrProbability",
+                                     "1e-4"));
+    EXPECT_FALSE(applyConfigOverride(cfg, "trap.handlerCount", "1"));
     EXPECT_FALSE(applyConfigOverride(cfg, "seed", "notanumber"));
     EXPECT_FALSE(applyConfigOverride(cfg, "pif.separateTrapLevels",
                                      "maybe"));

@@ -139,45 +139,6 @@ TEST(Json, EqualityComparesAcrossNumericKinds)
     EXPECT_NE(ResultValue(nan), ResultValue(nan));
 }
 
-TEST(EmptyHistograms, SerializeCleanly)
-{
-    const Log2Histogram log2(10);
-    ResultValue v = toResult(log2);
-    EXPECT_EQ(v.find("total_weight")->number(), 0.0);
-    EXPECT_EQ(v.find("buckets")->size(), 0u);
-
-    const RangeHistogram range({1, 2, 4});
-    v = toResult(range);
-    EXPECT_EQ(v.find("buckets")->size(), 3u);
-    for (std::size_t i = 0; i < 3; ++i) {
-        EXPECT_EQ(v.find("buckets")->at(i).find("fraction")->number(),
-                  0.0);
-    }
-
-    const LinearHistogram lin(-2, 2);
-    v = toResult(lin);
-    EXPECT_EQ(v.find("buckets")->size(), 5u);
-    EXPECT_EQ(v.find("dropped_weight")->number(), 0.0);
-
-    // The empty trees serialize and round-trip.
-    const auto parsed = parseJson(toJson(v));
-    ASSERT_TRUE(parsed.has_value());
-    EXPECT_EQ(*parsed, v);
-}
-
-TEST(StatGroupSerialization, CountersBecomeMembers)
-{
-    StatGroup g("l1i");
-    Counter hits(g, "hits", "demand hits");
-    Counter misses(g, "misses", "demand misses");
-    hits += 3;
-    ++misses;
-    const ResultValue v = toResult(g);
-    EXPECT_EQ(v.find("group")->str(), "l1i");
-    EXPECT_EQ(v.find("counters")->find("hits")->uintValue(), 3u);
-    EXPECT_EQ(v.find("counters")->find("misses")->uintValue(), 1u);
-}
-
 TEST(CsvEscape, QuotesPerRfc4180)
 {
     EXPECT_EQ(csvEscape("plain"), "plain");

@@ -46,8 +46,10 @@ TEST(SpatialCompactor, CollapsesSameBlockPcs)
     EXPECT_FALSE(c.observe(pcOf(10, 0), true, 0).has_value());
     EXPECT_FALSE(c.observe(pcOf(10, 1), true, 0).has_value());
     EXPECT_FALSE(c.observe(pcOf(10, 2), true, 0).has_value());
-    EXPECT_EQ(c.blockAccesses(), 1u);
-    EXPECT_EQ(c.observedPcs(), 3u);
+    const auto rec = c.flush();
+    ASSERT_TRUE(rec.has_value());
+    EXPECT_EQ(rec->triggerPc, pcOf(10, 0));
+    EXPECT_TRUE(rec->isTriggerOnly());
 }
 
 TEST(SpatialCompactor, AccumulatesNeighboursIntoBitVector)

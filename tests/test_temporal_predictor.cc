@@ -163,17 +163,6 @@ TEST(TemporalPredictor, ObservationCountsAreConsistent)
     EXPECT_LE(p.predictedCount(), 150u);
 }
 
-TEST(TemporalPredictor, ResetClears)
-{
-    TemporalStreamPredictor p(unboundedCfg());
-    for (Addr a : {1, 2, 3, 1, 2, 3})
-        p.observe(a);
-    p.reset();
-    EXPECT_EQ(p.observations(), 0u);
-    EXPECT_EQ(p.recorded(), 0u);
-    EXPECT_FALSE(p.observe(1).predicted);
-}
-
 /** Property: periodic sequences converge to near-full coverage. */
 class PeriodicCoverage : public ::testing::TestWithParam<unsigned>
 {
