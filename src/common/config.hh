@@ -197,14 +197,12 @@ struct NextLineConfig
 struct SystemConfig
 {
     CacheConfig l1i{"l1i", 64 * 1024, 2, 64, 32};
-    CacheConfig l1d{"l1d", 64 * 1024, 2, 64, 32};
     BranchConfig branch;
     CoreConfig core;
     MemoryConfig memory;
     PifConfig pif;
     TifsConfig tifs;
     NextLineConfig nextLine;
-    unsigned numCores = 16;   //!< documented; engines simulate per core
     std::uint64_t seed = 42;  //!< master seed for deterministic runs
     /**
      * Host worker threads for the multicore/experiment runners
@@ -218,8 +216,8 @@ struct SystemConfig
     auto
     tied() const
     {
-        return std::tie(l1i, l1d, branch, core, memory, pif, tifs,
-                        nextLine, numCores, seed, threads);
+        return std::tie(l1i, branch, core, memory, pif, tifs, nextLine,
+                        seed, threads);
     }
     bool operator==(const SystemConfig &o) const
     {

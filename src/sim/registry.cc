@@ -117,10 +117,12 @@ runTable1(const ExperimentSpec &spec, const RunOptions &opts)
             row.push(std::move(v));
             rows.push(std::move(row));
         };
-        add("cores", cfg.numCores);
+        // Constants of the paper's CMP: the engines model one core's
+        // instruction side, so no config field sets them.
+        add("cores", 16u);
         add("l1i_bytes", cfg.l1i.sizeBytes);
         add("l1i_assoc", cfg.l1i.assoc);
-        add("l1d_bytes", cfg.l1d.sizeBytes);
+        add("l1d_bytes", 64u * 1024);
         add("block_bytes", cfg.l1i.blockBytes);
         add("rob_entries", cfg.core.robEntries);
         add("dispatch_width", cfg.core.dispatchWidth);
@@ -883,7 +885,6 @@ configToResult(const SystemConfig &cfg)
 
     ResultValue out = ResultValue::object();
     out.set("seed", cfg.seed);
-    out.set("numCores", cfg.numCores);
     out.set("l1iBytes", cfg.l1i.sizeBytes);
     out.set("l1iAssoc", cfg.l1i.assoc);
     out.set("pif", std::move(pif));
@@ -994,7 +995,6 @@ applyConfigOverride(SystemConfig &cfg, const std::string &key,
 
     if (key == "seed") return setU(cfg.seed);
     if (key == "threads") return setU(cfg.threads);
-    if (key == "numCores") return setU(cfg.numCores);
     if (key == "l1i.sizeBytes") return setU(cfg.l1i.sizeBytes);
     if (key == "l1i.assoc") return setU(cfg.l1i.assoc);
     if (key == "l1i.mshrs") return setU(cfg.l1i.mshrs);
@@ -1033,7 +1033,7 @@ const std::vector<std::string> &
 configOverrideKeys()
 {
     static const std::vector<std::string> keys = {
-        "seed", "threads", "numCores",
+        "seed", "threads",
         "l1i.sizeBytes", "l1i.assoc", "l1i.mshrs",
         "memory.memLatency", "memory.l2HitLatency",
         "core.robEntries", "core.dispatchWidth", "core.retireWidth",
@@ -1110,7 +1110,8 @@ validateSweepGrid(const std::vector<SweepAxis> &axes,
         std::string label;
         for (const auto &[key, value] : sweepPointParams(axes, p)) {
             if (!applyConfigOverride(cfg, key, value))
-                return "bad sweep value " + key + "=" + value;
+                return "bad override '" + key + "=" + value +
+                       "' (see `pifetch list` for keys)";
             label += (label.empty() ? "" : " ") + key + "=" + value;
         }
         if (const auto err = validateSystemConfig(cfg))

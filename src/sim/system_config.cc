@@ -12,20 +12,6 @@
 
 namespace pifetch {
 
-std::string
-prefetcherName(PrefetcherKind kind)
-{
-    switch (kind) {
-      case PrefetcherKind::None:          return "None";
-      case PrefetcherKind::NextLine:      return "Next-Line";
-      case PrefetcherKind::Tifs:          return "TIFS";
-      case PrefetcherKind::Discontinuity: return "Discontinuity";
-      case PrefetcherKind::Pif:           return "PIF";
-      case PrefetcherKind::Perfect:       return "Perfect";
-    }
-    panic("unknown prefetcher kind");
-}
-
 std::unique_ptr<Prefetcher>
 makePrefetcher(PrefetcherKind kind, const SystemConfig &cfg,
                bool unbounded)

@@ -6,7 +6,6 @@
 #pragma once
 
 #include <memory>
-#include <string>
 
 #include "common/config.hh"
 #include "prefetch/prefetcher.hh"
@@ -22,9 +21,6 @@ enum class PrefetcherKind {
     Pif,            //!< Proactive Instruction Fetch
     Perfect,        //!< perfect-latency L1-I (engine-interpreted)
 };
-
-/** Display name matching the paper's figure legends. */
-std::string prefetcherName(PrefetcherKind kind);
 
 /**
  * Construct a prefetcher of @p kind from @p cfg.

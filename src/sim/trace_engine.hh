@@ -106,11 +106,12 @@ class TraceEngine
     void advance(InstCount n);
 
     /**
-     * Replay externally supplied records (a captured trace decoded by
-     * TraceBatchReader, say) through both stages, bypassing the
-     * executor. The batch's block column must be
-     * populated (computeBlocks()); executor-side counters (retired,
-     * interrupts) do not advance.
+     * Run a caller's batch through both stages, bypassing the engine's
+     * own executor, so perfbench's PIF probe can time Executor::
+     * nextBatch() and the stages in separate spans. Given the batches
+     * its executor would decode, the engine ends where advance() would
+     * have; a lean batch is only valid with no observer attached.
+     * Executor-side counters (retired, interrupts) do not advance.
      */
     void replayBatch(const RecordBatch &batch);
 

@@ -302,12 +302,10 @@ Executor::nextBatch(RecordBatch &out, std::uint32_t n, bool lean)
                 // One pass per column: the PC ramp vectorizes and the
                 // constant byte columns become memsets, instead of one
                 // scalar mixed-width store group per instruction. The
-                // derived columns are filled here too (rather than by a
-                // trailing computeBlocks() re-read of the whole batch):
-                // the run is Plain at a constant trap level, so
-                // plainCont reduces to block equality, with the run's
-                // first record compared against its already-decoded
-                // predecessor.
+                // derived columns are filled here too: the run is Plain
+                // at a constant trap level, so plainCont reduces to
+                // block equality, with the run's first record compared
+                // against its already-decoded predecessor.
                 for (std::uint32_t k = i; k < end; ++k)
                     out.pc[k] = pc0 +
                         static_cast<Addr>(k - i) * instrBytes;

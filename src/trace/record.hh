@@ -97,7 +97,7 @@ struct RecordBatch
     std::vector<std::uint8_t> trapLevel;
     std::vector<std::uint8_t> taken;
     /** Block address of each pc; maintained by push() and the
-     * executor's columnar fill (or derivable via computeBlocks()). */
+     * executor's columnar fill. */
     std::vector<Addr> block;
     /**
      * 1 when the record continues its predecessor's same-block plain
@@ -165,26 +165,6 @@ struct RecordBatch
         r.trapLevel = trapLevel[i];
         r.taken = taken[i] != 0;
         return r;
-    }
-
-    /** Derive the block and plainCont columns from the record columns
-     * (two vectorizable passes, no branches). Callers that append via
-     * push() — or the executor's columnar fill, which derives both
-     * in place — need not call this; it exists for readers that fill
-     * the raw columns directly. */
-    void
-    computeBlocks()
-    {
-        for (std::uint32_t i = 0; i < size; ++i)
-            block[i] = blockAddr(pc[i]);
-        if (size > 0)
-            plainCont[0] = 0;
-        for (std::uint32_t i = 1; i < size; ++i) {
-            plainCont[i] = static_cast<std::uint8_t>(
-                kind[i] == static_cast<std::uint8_t>(InstrKind::Plain) &&
-                trapLevel[i] == trapLevel[i - 1] &&
-                block[i] == block[i - 1]);
-        }
     }
 };
 

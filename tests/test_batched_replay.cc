@@ -8,24 +8,21 @@
  * windowed counter samples. This suite pins that equivalence on the
  * six server presets and two workload-zoo specs by comparing each
  * engine at the default batch length against the scalar-order (length
- * 1) reference, and locks the streaming SoA trace decoder against the
- * records TraceWriter wrote.
+ * 1) reference, and checks that TraceEngine::replayBatch, fed its
+ * executor's batches, ends where the engine's own loop does.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstdio>
 #include <utility>
-#include <unistd.h>
 
 #include "check/invariants.hh"
+#include "check/scenario.hh"
 #include "query/event_store.hh"
 #include "sim/cycle_engine.hh"
 #include "sim/trace_engine.hh"
 #include "sim/workloads.hh"
-#include "test_util.hh"
-#include "trace/trace_io.hh"
 #include "trace/workload_spec.hh"
 
 namespace pifetch {
@@ -111,7 +108,7 @@ expectBatchLengthInvariant(const Program &prog,
     for (const PrefetcherKind kind :
          {PrefetcherKind::None, PrefetcherKind::Pif}) {
         const std::string at =
-            label + "/" + prefetcherName(kind);
+            label + "/" + prefetcherKey(kind);
 
         EventStore batched_events(fullRecordingOptions());
         EventStore scalar_events(fullRecordingOptions());
@@ -224,152 +221,52 @@ TEST(UnobservedBatched, BulkFastPathMatchesObservedScalarCounters)
     EXPECT_GT(bulk.instrs, 0u);
 }
 
-class BatchReaderTest : public ::testing::Test
+TEST(ReplayBatch, ExecutorBatchesMatchTheEnginesOwnLoop)
 {
-  protected:
-    void
-    SetUp() override
-    {
-        path_ = ::testing::TempDir() + "pifetch_batch_reader_test.bin";
-    }
+    // perfbench's PIF probe times Executor::nextBatch and replayBatch
+    // in separate spans. Fed the lean batches its own executor would
+    // decode, an engine must end exactly where advance() leaves one.
+    const ServerWorkload w = ServerWorkload::WebApache;
+    const Program prog = buildWorkloadProgram(w);
+    const ExecutorConfig exec = executorConfigFor(w);
+    const SystemConfig cfg{};
+    constexpr InstCount kInstrs = 200'000;
 
-    void TearDown() override { std::remove(path_.c_str()); }
+    for (const PrefetcherKind kind :
+         {PrefetcherKind::None, PrefetcherKind::Pif}) {
+        const std::string at = prefetcherKey(kind);
 
-    /** A stream long enough to span several disk chunks. */
-    static std::vector<RetiredInstr>
-    sampleTrace(std::size_t n)
-    {
-        std::vector<RetiredInstr> recs;
-        recs.reserve(n);
-        for (std::size_t i = 0; i < n; ++i) {
-            RetiredInstr r;
-            r.pc = 0x40'0000 + static_cast<Addr>(i) * instrBytes;
-            if (i % 7 == 3) {
-                r.kind = InstrKind::CondBranch;
-                r.target = 0x41'0000 + static_cast<Addr>(i % 97) * 64;
-                r.taken = i % 2 == 0;
-            }
-            r.trapLevel = i % 13 == 0 ? 1 : 0;
-            recs.push_back(r);
-        }
-        return recs;
-    }
-
-    std::string path_;
-};
-
-TEST_F(BatchReaderTest, DecodesExactlyWhatWasWritten)
-{
-    const std::vector<RetiredInstr> original = sampleTrace(100'000);
-    ASSERT_TRUE(testutil::writeRecords(path_, original));
-
-    TraceBatchReader reader;
-    ASSERT_TRUE(reader.open(path_));
-    EXPECT_EQ(reader.count(), original.size());
-
-    RecordBatch batch;
-    std::size_t seen = 0;
-    while (reader.next(batch)) {
-        for (std::uint32_t i = 0; i < batch.size; ++i, ++seen) {
-            ASSERT_LT(seen, original.size());
-            const RetiredInstr got = batch.get(i);
-            const RetiredInstr &want = original[seen];
-            ASSERT_EQ(got.pc, want.pc) << "record " << seen;
-            ASSERT_EQ(got.target, want.target) << "record " << seen;
-            ASSERT_EQ(got.kind, want.kind) << "record " << seen;
-            ASSERT_EQ(got.trapLevel, want.trapLevel)
-                << "record " << seen;
-            ASSERT_EQ(got.taken, want.taken) << "record " << seen;
-            ASSERT_EQ(batch.block[i], blockAddr(want.pc))
-                << "record " << seen;
-        }
-    }
-    EXPECT_FALSE(reader.failed());
-    EXPECT_EQ(seen, original.size());
-    EXPECT_EQ(reader.decoded(), original.size());
-}
-
-TEST_F(BatchReaderTest, HonorsSmallBatchCaps)
-{
-    ASSERT_TRUE(testutil::writeRecords(path_, sampleTrace(1'000)));
-    TraceBatchReader reader;
-    ASSERT_TRUE(reader.open(path_));
-    RecordBatch batch;
-    std::size_t seen = 0;
-    while (reader.next(batch, 7)) {
-        EXPECT_LE(batch.size, 7u);
-        seen += batch.size;
-    }
-    EXPECT_EQ(seen, 1'000u);
-    EXPECT_FALSE(reader.failed());
-}
-
-TEST_F(BatchReaderTest, RejectsBadMagic)
-{
-    ASSERT_TRUE(testutil::writeRecords(path_, sampleTrace(64)));
-    std::FILE *f = std::fopen(path_.c_str(), "rb+");
-    ASSERT_NE(f, nullptr);
-    const std::uint32_t junk = 0xdeadbeef;
-    ASSERT_EQ(std::fwrite(&junk, sizeof(junk), 1, f), 1u);
-    ASSERT_EQ(std::fclose(f), 0);
-
-    TraceBatchReader reader;
-    EXPECT_FALSE(reader.open(path_));
-}
-
-TEST_F(BatchReaderTest, RejectsTruncatedPayload)
-{
-    ASSERT_TRUE(testutil::writeRecords(path_, sampleTrace(64)));
-    std::FILE *f = std::fopen(path_.c_str(), "rb");
-    ASSERT_NE(f, nullptr);
-    ASSERT_EQ(std::fseek(f, 0, SEEK_END), 0);
-    const long size = std::ftell(f);
-    ASSERT_EQ(std::fclose(f), 0);
-    ASSERT_EQ(0, truncate(path_.c_str(), size - 10));
-
-    // The count-vs-payload validation fires at open, before any
-    // record is decoded.
-    TraceBatchReader reader;
-    EXPECT_FALSE(reader.open(path_));
-}
-
-TEST_F(BatchReaderTest, MissingFileFailsOpen)
-{
-    TraceBatchReader reader;
-    EXPECT_FALSE(reader.open(path_ + ".nope"));
-}
-
-TEST_F(BatchReaderTest, ReplayBatchFeedsTheBatchedPipeline)
-{
-    // End-to-end: decode a captured trace with the SoA reader and push
-    // it through TraceEngine::replayBatch; the cache must observe the
-    // stream (nonzero accesses) deterministically across two replays.
-    ASSERT_TRUE(testutil::writeRecords(path_, sampleTrace(50'000)));
-
-    const auto replay = [&]() {
-        const SystemConfig cfg{};
-        const Program prog =
-            buildWorkloadProgram(ServerWorkload::WebApache);
-        TraceEngine engine(
-            cfg, prog, executorConfigFor(ServerWorkload::WebApache),
-            makePrefetcher(PrefetcherKind::Pif, cfg));
-        ObserverConfig obs;
-        obs.digests = true;
-        engine.attachObservers(obs);
-        TraceBatchReader reader;
-        EXPECT_TRUE(reader.open(path_));
+        TraceEngine replayed(cfg, prog, exec, makePrefetcher(kind, cfg));
+        Executor x(prog, exec);
         RecordBatch batch;
-        while (reader.next(batch))
-            engine.replayBatch(batch);
-        EXPECT_FALSE(reader.failed());
-        return std::make_pair(engine.retireDigest(),
-                              engine.accessDigest());
-    };
-    const auto a = replay();
-    const auto b = replay();
-    EXPECT_NE(a.first, 0u);
-    EXPECT_NE(a.second, 0u);
-    EXPECT_EQ(a, b);
+        batch.reserve(recordBatchLen);
+        InstCount fed = 0;
+        while (fed < kInstrs) {
+            x.nextBatch(batch,
+                        static_cast<std::uint32_t>(std::min<InstCount>(
+                            kInstrs - fed, recordBatchLen)),
+                        true);
+            ASSERT_GT(batch.size, 0u) << at;
+            replayed.replayBatch(batch);
+            fed += batch.size;
+        }
+
+        TraceEngine own(cfg, prog, exec, makePrefetcher(kind, cfg));
+        own.advance(kInstrs);
+
+        EXPECT_GT(own.l1i().misses(), 0u) << at;
+        if (kind == PrefetcherKind::Pif) {
+            EXPECT_GT(own.l1i().prefetchFills(), 0u) << at;
+        }
+        EXPECT_EQ(replayed.l1i().hits(), own.l1i().hits()) << at;
+        EXPECT_EQ(replayed.l1i().misses(), own.l1i().misses()) << at;
+        EXPECT_EQ(replayed.l1i().prefetchFills(),
+                  own.l1i().prefetchFills())
+            << at;
+        EXPECT_EQ(replayed.prefetcher().issued(),
+                  own.prefetcher().issued())
+            << at;
+    }
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -84,7 +84,7 @@ runWindowedOracles(const Program &prog, const ExecutorConfig &exec,
     if (instant)
         checkRegionMissProfile(trace_events, cycle_events, failures);
     for (const CheckFailure &f : failures) {
-        ADD_FAILURE() << label << "/" << prefetcherName(kind) << ": "
+        ADD_FAILURE() << label << "/" << prefetcherKey(kind) << ": "
                       << f.invariant << ": " << f.detail;
     }
 }
@@ -128,7 +128,7 @@ TEST_P(PresetDifferential, EnginesAgreeOnStreamsAndCounters)
                          kind == PrefetcherKind::None, failures);
         for (const CheckFailure &f : failures) {
             ADD_FAILURE() << workloadKey(w) << "/"
-                          << prefetcherName(kind) << ": "
+                          << prefetcherKey(kind) << ": "
                           << f.invariant << ": " << f.detail;
         }
     }
@@ -222,7 +222,7 @@ std::string
 caseLabel(const BackStageCase &c)
 {
     return std::string(c.cycle ? "cycle/" : "trace/") +
-           prefetcherName(c.kind) + (c.unbounded ? "-unbounded" : "") +
+           prefetcherKey(c.kind) + (c.unbounded ? "-unbounded" : "") +
            "/len" + std::to_string(c.batchLen);
 }
 

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <set>
 
 #include "sim/registry.hh"
@@ -124,6 +125,8 @@ TEST(ConfigOverrides, ApplyParseAndReject)
     EXPECT_FALSE(applyConfigOverride(cfg, "trap.perInstrProbability",
                                      "1e-4"));
     EXPECT_FALSE(applyConfigOverride(cfg, "trap.handlerCount", "1"));
+    // The engines model one core, so no numCores key exists either.
+    EXPECT_FALSE(applyConfigOverride(cfg, "numCores", "1"));
     EXPECT_FALSE(applyConfigOverride(cfg, "seed", "notanumber"));
     EXPECT_FALSE(applyConfigOverride(cfg, "pif.separateTrapLevels",
                                      "maybe"));
@@ -134,6 +137,73 @@ TEST(ConfigOverrides, ApplyParseAndReject)
         const bool ok = applyConfigOverride(scratch, key, "1") ||
                         applyConfigOverride(scratch, key, "true");
         EXPECT_TRUE(ok) << key;
+    }
+}
+
+TEST(ConfigOverrides, EveryKeyChangesSomeResultTable)
+{
+    // A key that is accepted and read by no engine would run every
+    // point of a sweep under a label that changes nothing. Each key's
+    // second value must move the tables of some experiment that reads
+    // the config. Table I echoes the config, so it does not count.
+    const std::map<std::string, std::string> second = {
+        {"seed", "7"},
+        {"l1i.sizeBytes", "16384"},
+        {"l1i.assoc", "4"},
+        {"l1i.mshrs", "1"},
+        {"memory.memLatency", "300"},
+        {"memory.l2HitLatency", "40"},
+        {"core.robEntries", "24"},
+        {"core.dispatchWidth", "1"},
+        {"core.retireWidth", "1"},
+        {"pif.blocksBefore", "0"},
+        {"pif.blocksAfter", "1"},
+        {"pif.temporalEntries", "1"},
+        {"pif.historyRegions", "64"},
+        {"pif.indexEntries", "64"},
+        {"pif.numSabs", "1"},
+        {"pif.sabWindowRegions", "1"},
+        {"pif.separateTrapLevels", "0"},
+        {"tifs.historyEntries", "64"},
+        {"tifs.sabWindowBlocks", "1"},
+        {"nextLine.degree", "1"},
+    };
+    // Results are thread-invariant, so threads alone is exempt. A new
+    // key fails here until it has a reader and a value above.
+    std::set<std::string> keys(configOverrideKeys().begin(),
+                               configOverrideKeys().end());
+    keys.erase("threads");
+    std::set<std::string> valued;
+    for (const auto &kv : second)
+        valued.insert(kv.first);
+    EXPECT_EQ(keys, valued);
+
+    RunOptions base = tinyOptions();
+    base.budget = ExperimentBudget{20'000, 50'000};
+    const auto tablesOf = [](const ExperimentSpec &spec,
+                             const RunOptions &opts) {
+        return toJson(*runExperiment(spec, opts).find("tables"));
+    };
+    std::map<std::string, std::string> baseline;
+    for (const auto &[key, value] : second) {
+        RunOptions changed = base;
+        ASSERT_TRUE(applyConfigOverride(changed.cfg, key, value)) << key;
+        ASSERT_FALSE(validateSystemConfig(changed.cfg).has_value())
+            << key;
+        bool moved = false;
+        for (const ExperimentSpec &spec : experimentRegistry()) {
+            if (!spec.usesConfig || spec.name == "table1")
+                continue;
+            auto [it, fresh] = baseline.try_emplace(spec.name);
+            if (fresh)
+                it->second = tablesOf(spec, base);
+            if (tablesOf(spec, changed) != it->second) {
+                moved = true;
+                break;
+            }
+        }
+        EXPECT_TRUE(moved) << key << "=" << value
+                           << " changes no result table";
     }
 }
 
@@ -233,6 +303,9 @@ TEST(Sweep, ValidateGridRefusesPointsThatWouldNotRunAsLabelled)
         {{{"pif.blocksBefore", ones},
           {"pif.blocksAfter", {ones.begin(), ones.end() - 1}}},
          "above 2^20 points"},
+        // An unknown key gets the --set message, not a value's blame.
+        {{{"numCores", {"1", "16"}}},
+         "bad override 'numCores=1' (see `pifetch list` for keys)"},
     };
     for (const auto &c : cases) {
         const auto err = validateSweepGrid(c.axes, base);
@@ -246,7 +319,7 @@ TEST(Sweep, ValidateGridRefusesPointsThatWouldNotRunAsLabelled)
          {"pif.blocksAfter", std::vector<std::string>(1024, "1")}},
         base);
     ASSERT_TRUE(at_cap.has_value());
-    EXPECT_NE(at_cap->find("bad sweep value"), std::string::npos)
+    EXPECT_NE(at_cap->find("bad override"), std::string::npos)
         << *at_cap;
 }
 
