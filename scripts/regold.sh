@@ -19,7 +19,7 @@ cd "$(dirname "$0")/.."
 
 BIN=build/pifetch
 
-cmake -B build -S . -DPIFETCH_BUILD_EXAMPLES=ON
+cmake -B build -S .
 cmake --build build -j --target pifetch_cli
 
 # Never regenerate fixtures from a missing or stale binary: goldens
@@ -29,18 +29,16 @@ cmake --build build -j --target pifetch_cli
 if [[ ! -x "${BIN}" ]]; then
     echo "regold: error: ${BIN} is missing after the build." >&2
     echo "regold: the pifetch_cli target did not produce it; check" >&2
-    echo "regold: the CMake output above (is the build tree" >&2
-    echo "regold: configured with -DPIFETCH_BUILD_EXAMPLES=ON?)." >&2
+    echo "regold: the CMake output above." >&2
     exit 1
 fi
-# Only compile inputs of the binary count: library sources and the
-# CLI translation unit (stray editor files, tests and the other
-# examples do not feed pifetch_cli and must not trip the check; a
-# newer .cc/.hh always triggers a relink, so a fresh successful build
-# always passes). `|| true` guards the SIGPIPE that head can hand the
-# find under pipefail.
-stale=$( { find src examples/pifetch_cli.cpp -type f \
-               \( -name '*.cc' -o -name '*.hh' -o -name '*.cpp' \) \
+# Only compile inputs of the binary count: the sources under src/,
+# the CLI's included (stray editor files, tests and examples do not
+# feed pifetch_cli and must not trip the check; a newer .cc/.hh always
+# triggers a relink, so a fresh successful build always passes).
+# `|| true` guards the SIGPIPE that head can hand the find under
+# pipefail.
+stale=$( { find src -type f \( -name '*.cc' -o -name '*.hh' \) \
                -newer "${BIN}" 2>/dev/null | head -n 3; } || true)
 if [[ -n "${stale}" ]]; then
     echo "regold: error: ${BIN} is stale — newer sources exist:" >&2

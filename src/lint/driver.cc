@@ -371,6 +371,15 @@ runLint(const LintOptions &opts, std::string *err)
         discoverSources(root, opts.paths, err);
     if (err && !err->empty())
         return report;
+    // A mistyped path or root scans nothing; that is not a clean tree.
+    if (paths.empty()) {
+        if (err) {
+            *err = "no source files under " + root;
+            for (std::size_t i = 0; i < opts.paths.size(); ++i)
+                *err += (i ? ", " : " match ") + opts.paths[i];
+        }
+        return report;
+    }
 
     // Pass 1: lex everything and gather the cross-file context, so
     // a .cc iterating a member its header declares unordered is

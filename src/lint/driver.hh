@@ -95,7 +95,10 @@ std::vector<Finding> lintSource(
     const std::string &path, const std::string &content,
     const std::vector<std::string> &ruleFilter = {});
 
-/** Scan the tree. On I/O failure sets @p err (report still partial). */
+/**
+ * Scan the tree. On I/O failure, or when nothing matches the root and
+ * filters, sets @p err (report still partial).
+ */
 LintReport runLint(const LintOptions &opts, std::string *err);
 
 /** Render a report as the canonical result tree (docs/linting.md). */

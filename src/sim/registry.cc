@@ -20,7 +20,7 @@
 #include <limits>
 #include <mutex>
 #include <set>
-#include <type_traits>
+#include <variant>
 
 #include "common/parallel.hh"
 #include "common/types.hh"
@@ -960,89 +960,97 @@ parseU64Value(const std::string &s, std::uint64_t &out)
 
 namespace {
 
-bool
-parseBool(const std::string &s, bool &out)
+/** The field an override key sets; every field is one of these. */
+using OverrideField = std::variant<std::uint64_t *, unsigned *, bool *>;
+
+/** Every override key and the field of @p c it sets, in list order. */
+std::vector<std::pair<const char *, OverrideField>>
+overrideFields(SystemConfig &c)
 {
-    if (s == "1" || s == "true" || s == "on") {
-        out = true;
-        return true;
-    }
-    if (s == "0" || s == "false" || s == "off") {
-        out = false;
-        return true;
-    }
-    return false;
+    return {
+        {"seed", &c.seed},
+        {"threads", &c.threads},
+        {"l1i.sizeBytes", &c.l1i.sizeBytes},
+        {"l1i.assoc", &c.l1i.assoc},
+        {"l1i.mshrs", &c.l1i.mshrs},
+        {"memory.memLatency", &c.memory.memLatency},
+        {"memory.l2HitLatency", &c.memory.l2HitLatency},
+        {"core.robEntries", &c.core.robEntries},
+        {"core.dispatchWidth", &c.core.dispatchWidth},
+        {"core.retireWidth", &c.core.retireWidth},
+        {"pif.blocksBefore", &c.pif.blocksBefore},
+        {"pif.blocksAfter", &c.pif.blocksAfter},
+        {"pif.temporalEntries", &c.pif.temporalEntries},
+        {"pif.historyRegions", &c.pif.historyRegions},
+        {"pif.indexEntries", &c.pif.indexEntries},
+        {"pif.numSabs", &c.pif.numSabs},
+        {"pif.sabWindowRegions", &c.pif.sabWindowRegions},
+        {"pif.separateTrapLevels", &c.pif.separateTrapLevels},
+        {"tifs.historyEntries", &c.tifs.historyEntries},
+        {"tifs.sabWindowBlocks", &c.tifs.sabWindowBlocks},
+        {"nextLine.degree", &c.nextLine.degree},
+    };
+}
+
+/** Parse @p s into @p field: empty on success, else why not. */
+std::string
+setField(bool *field, const std::string &s)
+{
+    const bool on = s == "1" || s == "true" || s == "on";
+    if (!on && s != "0" && s != "false" && s != "off")
+        return " (want 1/true/on or 0/false/off)";
+    *field = on;
+    return {};
+}
+
+template <typename Field>
+std::string
+setField(Field *field, const std::string &s)
+{
+    std::uint64_t u = 0;
+    if (!parseU64Value(s, u))
+        return " (want a non-negative integer)";
+    // Refuse what would truncate: 2^32 + 4 SABs would run as 4.
+    if (u > std::numeric_limits<Field>::max())
+        return " (wider than its " +
+               std::to_string(std::numeric_limits<Field>::digits) +
+               "-bit field)";
+    *field = static_cast<Field>(u);
+    return {};
 }
 
 } // namespace
 
 bool
 applyConfigOverride(SystemConfig &cfg, const std::string &key,
-                    const std::string &value)
+                    const std::string &value, std::string *err)
 {
-    std::uint64_t u = 0;
-    bool b = false;
-
-    const auto setU = [&](auto &field) {
-        using Field = std::decay_t<decltype(field)>;
-        // Refuse what would truncate: 2^32 + 4 SABs would run as 4.
-        if (!parseU64Value(value, u) ||
-            u > std::numeric_limits<Field>::max())
-            return false;
-        field = static_cast<Field>(u);
-        return true;
-    };
-
-    if (key == "seed") return setU(cfg.seed);
-    if (key == "threads") return setU(cfg.threads);
-    if (key == "l1i.sizeBytes") return setU(cfg.l1i.sizeBytes);
-    if (key == "l1i.assoc") return setU(cfg.l1i.assoc);
-    if (key == "l1i.mshrs") return setU(cfg.l1i.mshrs);
-    if (key == "memory.memLatency") return setU(cfg.memory.memLatency);
-    if (key == "memory.l2HitLatency")
-        return setU(cfg.memory.l2HitLatency);
-    if (key == "core.robEntries") return setU(cfg.core.robEntries);
-    if (key == "core.dispatchWidth")
-        return setU(cfg.core.dispatchWidth);
-    if (key == "core.retireWidth") return setU(cfg.core.retireWidth);
-    if (key == "pif.blocksBefore") return setU(cfg.pif.blocksBefore);
-    if (key == "pif.blocksAfter") return setU(cfg.pif.blocksAfter);
-    if (key == "pif.temporalEntries")
-        return setU(cfg.pif.temporalEntries);
-    if (key == "pif.historyRegions")
-        return setU(cfg.pif.historyRegions);
-    if (key == "pif.indexEntries") return setU(cfg.pif.indexEntries);
-    if (key == "pif.numSabs") return setU(cfg.pif.numSabs);
-    if (key == "pif.sabWindowRegions")
-        return setU(cfg.pif.sabWindowRegions);
-    if (key == "pif.separateTrapLevels") {
-        if (!parseBool(value, b))
-            return false;
-        cfg.pif.separateTrapLevels = b;
-        return true;
+    for (const auto &[name, field] : overrideFields(cfg)) {
+        if (key != name)
+            continue;
+        const std::string why = std::visit(
+            [&](auto *f) { return setField(f, value); }, field);
+        if (!why.empty() && err)
+            *err = "bad value '" + value + "' for override '" + key +
+                   "'" + why;
+        return why.empty();
     }
-    if (key == "tifs.historyEntries")
-        return setU(cfg.tifs.historyEntries);
-    if (key == "tifs.sabWindowBlocks")
-        return setU(cfg.tifs.sabWindowBlocks);
-    if (key == "nextLine.degree") return setU(cfg.nextLine.degree);
+    if (err)
+        *err = "unknown override key '" + key +
+               "' (see `pifetch list` for keys)";
     return false;
 }
 
 const std::vector<std::string> &
 configOverrideKeys()
 {
-    static const std::vector<std::string> keys = {
-        "seed", "threads",
-        "l1i.sizeBytes", "l1i.assoc", "l1i.mshrs",
-        "memory.memLatency", "memory.l2HitLatency",
-        "core.robEntries", "core.dispatchWidth", "core.retireWidth",
-        "pif.blocksBefore", "pif.blocksAfter", "pif.temporalEntries",
-        "pif.historyRegions", "pif.indexEntries", "pif.numSabs",
-        "pif.sabWindowRegions", "pif.separateTrapLevels",
-        "tifs.historyEntries", "tifs.sabWindowBlocks",
-        "nextLine.degree",
-    };
+    static const std::vector<std::string> keys = [] {
+        SystemConfig scratch;
+        std::vector<std::string> out;
+        for (const auto &entry : overrideFields(scratch))
+            out.push_back(entry.first);
+        return out;
+    }();
     return keys;
 }
 
@@ -1109,9 +1117,9 @@ validateSweepGrid(const std::vector<SweepAxis> &axes,
         SystemConfig cfg = base;
         std::string label;
         for (const auto &[key, value] : sweepPointParams(axes, p)) {
-            if (!applyConfigOverride(cfg, key, value))
-                return "bad override '" + key + "=" + value +
-                       "' (see `pifetch list` for keys)";
+            std::string err;
+            if (!applyConfigOverride(cfg, key, value, &err))
+                return err;
             label += (label.empty() ? "" : " ") + key + "=" + value;
         }
         if (const auto err = validateSystemConfig(cfg))

@@ -99,12 +99,14 @@ ResultValue configToResult(const SystemConfig &cfg);
 /**
  * Apply a `key=value` configuration override ("pif.historyRegions",
  * "nextLine.degree", "seed", ...). Returns false on an unknown key, an
- * unparsable value or one wider than its field. It does not bound the
- * result; run validateSystemConfig() once all overrides are applied.
- * configOverrideKeys() lists the supported keys.
+ * unparsable value or one wider than its field, and says which in
+ * @p err. It does not bound the result; run validateSystemConfig()
+ * once all overrides are applied. configOverrideKeys() lists the
+ * supported keys.
  */
 bool applyConfigOverride(SystemConfig &cfg, const std::string &key,
-                         const std::string &value);
+                         const std::string &value,
+                         std::string *err = nullptr);
 
 /** The override keys applyConfigOverride understands. */
 const std::vector<std::string> &configOverrideKeys();

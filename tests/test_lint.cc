@@ -319,6 +319,13 @@ TEST(LintTree, PathFiltersNarrowTheScan)
     EXPECT_TRUE(err.empty()) << err;
     EXPECT_LT(rSome.filesScanned, rAll.filesScanned);
     EXPECT_GE(rSome.filesScanned, 6u);  // the lint subsystem itself
+
+    // A filter that matches nothing (a typo) is an error, not clean.
+    LintOptions none = all;
+    none.paths = {"src/cahce"};
+    const LintReport rNone = runLint(none, &err);
+    EXPECT_EQ(rNone.filesScanned, 0u);
+    EXPECT_NE(err.find("src/cahce"), std::string::npos) << err;
 }
 #endif
 

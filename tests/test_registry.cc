@@ -131,6 +131,20 @@ TEST(ConfigOverrides, ApplyParseAndReject)
     EXPECT_FALSE(applyConfigOverride(cfg, "pif.separateTrapLevels",
                                      "maybe"));
 
+    // An unknown key points at the key list; a bad value of a known
+    // key names the value and the key instead.
+    std::string err;
+    EXPECT_FALSE(applyConfigOverride(cfg, "numCores", "1", &err));
+    EXPECT_EQ(err, "unknown override key 'numCores' (see `pifetch list` "
+                   "for keys)");
+    EXPECT_FALSE(applyConfigOverride(cfg, "pif.blocksBefore", "zzz", &err));
+    EXPECT_EQ(err.find("bad value 'zzz' for override 'pif.blocksBefore'"),
+              0u)
+        << err;
+    EXPECT_FALSE(applyConfigOverride(cfg, "pif.numSabs", "4294967300",
+                                     &err));
+    EXPECT_NE(err.find("wider than"), std::string::npos) << err;
+
     // Every advertised key accepts at least one sensible value.
     for (const std::string &key : configOverrideKeys()) {
         SystemConfig scratch;
@@ -293,7 +307,8 @@ TEST(Sweep, ValidateGridRefusesPointsThatWouldNotRunAsLabelled)
         const char *why;
     } cases[] = {
         // An unparsable value would run the default under its label.
-        {{{"pif.blocksBefore", {"1", "zzz"}}}, "pif.blocksBefore=zzz"},
+        {{{"pif.blocksBefore", {"1", "zzz"}}},
+         "bad value 'zzz' for override 'pif.blocksBefore'"},
         // A point the simulator cannot run would stop the sweep midway.
         {{{"pif.numSabs", {"1", "0"}}}, "pif.numSabs=0"},
         {{{"threads", {"1", "2"}}}, "threads"},
@@ -305,7 +320,7 @@ TEST(Sweep, ValidateGridRefusesPointsThatWouldNotRunAsLabelled)
          "above 2^20 points"},
         // An unknown key gets the --set message, not a value's blame.
         {{{"numCores", {"1", "16"}}},
-         "bad override 'numCores=1' (see `pifetch list` for keys)"},
+         "unknown override key 'numCores' (see `pifetch list` for keys)"},
     };
     for (const auto &c : cases) {
         const auto err = validateSweepGrid(c.axes, base);
@@ -319,7 +334,7 @@ TEST(Sweep, ValidateGridRefusesPointsThatWouldNotRunAsLabelled)
          {"pif.blocksAfter", std::vector<std::string>(1024, "1")}},
         base);
     ASSERT_TRUE(at_cap.has_value());
-    EXPECT_NE(at_cap->find("bad override"), std::string::npos)
+    EXPECT_NE(at_cap->find("bad value 'zzz'"), std::string::npos)
         << *at_cap;
 }
 
