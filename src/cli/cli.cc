@@ -17,7 +17,6 @@
 #include <cstring>
 #include <fstream>
 #include <functional>
-#include <initializer_list>
 #include <optional>
 #include <sstream>
 #include <utility>
@@ -125,7 +124,7 @@ struct Cli
      * an own option in @p ownNames) as having no effect @p where.
      */
     bool noEffect(unsigned sharedFlags,
-                  std::initializer_list<const char *> ownNames,
+                  const std::vector<std::string> &ownNames,
                   const std::string &where);
 
     /** Human report wanted? Not when structured output owns stdout. */
@@ -227,12 +226,12 @@ Cli::parse(const std::function<bool()> &own)
 
 bool
 Cli::noEffect(unsigned sharedFlags,
-              std::initializer_list<const char *> ownNames,
+              const std::vector<std::string> &ownNames,
               const std::string &where)
 {
     for (const auto &[name, flag] : given) {
         bool hit = (flag & sharedFlags) != 0;
-        for (const char *own : ownNames)
+        for (const std::string &own : ownNames)
             hit = hit || (!flag && name == own);
         if (hit) {
             fail("%s has no effect %s", name.c_str(), where.c_str());
@@ -839,8 +838,15 @@ cmdLint(Cli &c)
     });
     if (!parsed)
         return 2;
-
+    // Both modes print and exit before any scan, so the scan's options
+    // (and the other mode) would be accepted and ignored.
+    std::vector<std::string> scanOptions = {"--rule", "--root"};
+    scanOptions.insert(scanOptions.end(), opts.paths.begin(),
+                       opts.paths.end());
     if (listRules) {
+        scanOptions.push_back("--self-test");
+        if (c.noEffect(OptJson | OptQuiet, scanOptions, "with --list-rules"))
+            return 2;
         std::fprintf(c.out, "%-24s %-12s %-8s %s\n", "rule", "class",
                      "severity", "summary");
         for (const lint::Rule &r : lint::ruleCatalog())
@@ -852,6 +858,8 @@ cmdLint(Cli &c)
     }
 
     if (selfTest) {
+        if (c.noEffect(OptJson, scanOptions, "with --self-test"))
+            return 2;
         const std::vector<std::string> failures = lint::runRuleSelfTest();
         for (const std::string &f : failures)
             c.fail("self-test: %s", f.c_str());

@@ -13,27 +13,6 @@ TimingModel::TimingModel(const CoreConfig &cfg, std::uint64_t seed)
 }
 
 void
-TimingModel::instruction(TrapLevel tl)
-{
-    ++instrs_;
-    if (tl == 0)
-        ++userInstrs_;
-
-    if (++dispatchSlot_ >= cfg_.dispatchWidth) {
-        dispatchSlot_ = 0;
-        ++cycles_;
-    }
-
-    // Back-end data stalls: a small fraction of instructions behaves
-    // like an L2/memory-bound load that blocks retirement. The OoO
-    // window hides part of the latency; we charge the unhidden half.
-    if (cfg_.dataStallFraction > 0.0 &&
-        rng_.chance(cfg_.dataStallFraction)) {
-        cycles_ += cfg_.dataStallCycles / 2;
-    }
-}
-
-void
 TimingModel::fetchStall(Cycle latency)
 {
     // ROB buffering hides a few cycles of fetch latency: the back-end

@@ -41,8 +41,29 @@ class TimingModel
     /**
      * Account one retired instruction at trap level @p tl.
      * Applies dispatch bandwidth and the stochastic data-stall model.
+     * Defined here: the cycle engine calls it on every instruction.
      */
-    void instruction(TrapLevel tl);
+    void
+    instruction(TrapLevel tl)
+    {
+        ++instrs_;
+        if (tl == 0)
+            ++userInstrs_;
+
+        if (++dispatchSlot_ >= cfg_.dispatchWidth) {
+            dispatchSlot_ = 0;
+            ++cycles_;
+        }
+
+        // Back-end data stalls: a small fraction of instructions
+        // behaves like an L2/memory-bound load that blocks retirement.
+        // The OoO window hides part of the latency; we charge the
+        // unhidden half.
+        if (cfg_.dataStallFraction > 0.0 &&
+            rng_.chance(cfg_.dataStallFraction)) {
+            cycles_ += cfg_.dataStallCycles / 2;
+        }
+    }
 
     /**
      * Account an instruction-fetch stall of @p latency cycles.

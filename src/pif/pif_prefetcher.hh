@@ -24,13 +24,12 @@
 #include <vector>
 
 #include "common/config.hh"
-#include "common/flat_hash.hh"
 #include "pif/history_buffer.hh"
 #include "pif/index_table.hh"
-#include "pif/prefetch_queue.hh"
 #include "pif/sab.hh"
 #include "pif/spatial_compactor.hh"
 #include "pif/temporal_compactor.hh"
+#include "prefetch/prefetch_queue.hh"
 #include "prefetch/prefetcher.hh"
 
 namespace pifetch {
@@ -183,31 +182,12 @@ class PifPrefetcher final : public Prefetcher
     /** Route a completed spatial region down its chain. */
     void recordRegion(Chain &chain, const SpatialRegion &rec);
 
-    /** Recompute the pooled SAB coverage bounds (see onFetchAccess). */
-    void
-    refreshStreamBounds()
-    {
-        Addr lo = invalidAddr;
-        Addr hi = 0;
-        for (const StreamAddressBuffer &sab : sabs_) {
-            lo = std::min(lo, sab.boundLo());
-            hi = std::max(hi, sab.boundHi());
-        }
-        streamLo_ = lo;
-        streamHi_ = hi;
-    }
-
     PifConfig cfg_;
     std::vector<Chain> chains_;
     std::vector<StreamAddressBuffer> sabs_;
     std::uint64_t sabTick_ = 0;
 
-    /** Pooled fast-reject bounds over all SABs ([invalidAddr, 0] when
-     * no stream is live, which rejects every block). */
-    Addr streamLo_ = invalidAddr;
-    Addr streamHi_ = 0;
-
-    PrefetchQueue queue_;
+    PrefetchQueue queue_{256};
     std::vector<Addr> scratch_;  //!< SAB emission buffer
 
     std::uint64_t covered_[maxTrapLevels] = {0, 0};
@@ -245,23 +225,13 @@ inline void
 PifPrefetcher::onFetchAccess(const FetchInfo &info)
 {
     // 1. Stream advancement: active SABs watch every front-end fetch.
-    // Pool-level fast reject first: [streamLo_, streamHi_] bounds the
-    // union of every SAB's own coverage bounds, so an access that
-    // belongs to no stream (the common case) takes one compare pair
-    // instead of the per-SAB scans. The bounds are a superset, never a
-    // filter on matches; they move only when some SAB's window changes
-    // (a match or an allocation), which is when we recompute.
     scratch_.clear();
     bool in_stream = false;
-    if (info.block >= streamLo_ && info.block <= streamHi_) {
-        for (StreamAddressBuffer &sab : sabs_) {
-            if (sab.onAccess(info.block, scratch_)) {
-                in_stream = true;
-                sab.touch(++sabTick_);
-            }
+    for (StreamAddressBuffer &sab : sabs_) {
+        if (sab.onAccess(info.block, scratch_)) {
+            in_stream = true;
+            sab.touch(++sabTick_);
         }
-        if (in_stream)
-            refreshStreamBounds();
     }
 
     // Coverage accounting (correct-path fetches only).
@@ -294,7 +264,6 @@ PifPrefetcher::onFetchAccess(const FetchInfo &info)
                 victim->allocate(chain.history, *seq, scratch_);
                 victim->touch(++sabTick_);
                 ++sabAllocations_;
-                refreshStreamBounds();
             }
         }
     }

@@ -5,98 +5,51 @@
 
 #include "pif/sab.hh"
 
-#include <algorithm>
-
-#include "common/bitops.hh"
-
 namespace pifetch {
 
 StreamAddressBuffer::StreamAddressBuffer(unsigned window_regions,
                                          unsigned blocks_before)
     : windowRegions_(window_regions), blocksBefore_(blocks_before)
 {
+    window_.reserve(window_regions);
 }
 
 void
-StreamAddressBuffer::emitRegion(const SpatialRegion &rec,
-                                std::vector<Addr> &out)
-{
-    const Addr trigger = rec.triggerBlock();
-    // Left-to-right bit-vector traversal (Section 4.3): preceding
-    // blocks in ascending offset order, then the trigger, then the
-    // succeeding blocks. Iterate set bits only (count-trailing-zeros
-    // walk, ascending index order — identical emission order to a
-    // full 32-bit scan; regions are sparse, so this touches a handful
-    // of bits instead of 32).
-    const std::uint32_t beforeMask =
-        blocksBefore_ >= 32 ? ~std::uint32_t{0}
-                            : (std::uint32_t{1} << blocksBefore_) - 1;
-    std::uint32_t before = rec.bits & beforeMask;
-    while (before != 0) {
-        const unsigned i = static_cast<unsigned>(bits::countrZero(before));
-        before &= before - 1;
-        out.push_back(trigger +
-                      SpatialRegion::offsetOf(i, blocksBefore_));
-    }
-    out.push_back(trigger);
-    std::uint32_t after = rec.bits & ~beforeMask;
-    while (after != 0) {
-        const unsigned i = static_cast<unsigned>(bits::countrZero(after));
-        after &= after - 1;
-        out.push_back(trigger +
-                      SpatialRegion::offsetOf(i, blocksBefore_));
-    }
-}
-
-void
-StreamAddressBuffer::updateBounds()
-{
-    if (window_.empty()) {
-        lo_ = invalidAddr;
-        hi_ = 0;
-        return;
-    }
-    Addr lo = invalidAddr;
-    Addr hi = 0;
-    for (const SpatialRegion &rec : window_) {
-        const Addr trigger = rec.triggerBlock();
-        const Addr rlo =
-            trigger > blocksBefore_ ? trigger - blocksBefore_ : 0;
-        const Addr rhi = trigger + (31 - blocksBefore_);
-        lo = std::min(lo, rlo);
-        hi = std::max(hi, rhi);
-    }
-    lo_ = lo;
-    hi_ = hi;
-}
-
-bool
 StreamAddressBuffer::refill(std::vector<Addr> &out)
 {
-    bool loaded = false;
+    // Geometry validation keeps blocksBefore + blocksAfter <= 31, so
+    // the shifted succeeding bits and the trigger fit in 32.
+    const std::uint32_t beforeMask = (std::uint32_t{1} << blocksBefore_) - 1;
     while (window_.size() < windowRegions_ && hist_->valid(ptr_)) {
         const SpatialRegion &rec = hist_->at(ptr_);
         ++ptr_;
-        window_.push_back(rec);
-        emitRegion(rec, out);
-        loaded = true;
+        const Entry e{rec.triggerBlock() - blocksBefore_,
+                      (rec.bits & beforeMask) |
+                          (std::uint32_t{1} << blocksBefore_) |
+                          ((rec.bits & ~beforeMask) << 1)};
+        window_.push_back(e);
+        // Issue in ascending block order (Section 4.3's left-to-right
+        // bit-vector traversal), counting each block into the filter.
+        for (std::uint32_t m = e.mask; m != 0; m &= m - 1) {
+            const Addr b = e.base + static_cast<Addr>(bits::countrZero(m));
+            ++filter_[slot(b)];
+            out.push_back(b);
+        }
     }
-    return loaded;
 }
 
 void
 StreamAddressBuffer::allocate(const HistoryBuffer *hist, std::uint64_t seq,
                               std::vector<Addr> &out)
 {
-    active_ = true;
     hist_ = hist;
     ptr_ = seq;
+    // Retiring the whole window clears the filter.
+    for (const Entry &e : window_)
+        uncount(e);
     window_.clear();
     advanced_ = 0;
     refill(out);
-    updateBounds();
-    if (window_.empty())
-        active_ = false;
 }
 
 } // namespace pifetch

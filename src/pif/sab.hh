@@ -9,16 +9,22 @@
  * history pointer, loading further records and issuing their blocks.
  *
  * onAccess() runs for every SAB on every L1-I fetch access — it is
- * the single hottest prefetcher loop in replay — so the window lives
- * in a small flat vector (one contiguous scan, retire is a short
- * memmove) rather than a deque, and the match path is defined inline.
+ * the single hottest prefetcher loop in replay — so each loaded region
+ * is kept as a window entry: its base block and a mask of the blocks
+ * it covers, both computed once when the region is loaded. A counting
+ * filter over the covered blocks answers most accesses with one load,
+ * and the rest take one branch-free pass over the entries. The filter
+ * and the masks are simulator bookkeeping, not modelled hardware: the
+ * SAB's storage (computePifStorage) is the window of records.
  */
 
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <vector>
 
+#include "common/bitops.hh"
 #include "pif/history_buffer.hh"
 #include "pif/region.hh"
 
@@ -53,57 +59,33 @@ class StreamAddressBuffer
      * Monitor an L1-I fetch of @p block.
      *
      * If the block falls within the window, the SAB advances: regions
-     * preceding the matched one are retired, subsequent records are
-     * read from the history buffer, and their blocks are appended to
-     * @p out as new prefetch candidates.
+     * preceding the first one covering it are retired, subsequent
+     * records are read from the history buffer, and their blocks are
+     * appended to @p out as new prefetch candidates.
      *
      * @return true if the access matched this stream.
      */
     bool
     onAccess(Addr block, std::vector<Addr> &out)
     {
-        if (!active_)
+        // A zero counter proves no entry covers the block (an inactive
+        // SAB's counters are all zero).
+        if (filter_[slot(block)] == 0)
             return false;
-
-        // Fast reject: [lo_, hi_] conservatively bounds every block any
-        // window region can cover, so most accesses (which belong to
-        // other streams or to no stream) take one compare pair instead
-        // of the per-region bit tests. Inside the bounds the full scan
-        // decides — the bounds are a superset, never a filter on
-        // matches.
-        if (block < lo_ || block > hi_)
+        const std::size_t i = firstMatch(block);
+        if (i == window_.size())
             return false;
-
-        for (std::size_t i = 0; i < window_.size(); ++i) {
-            if (!regionCovers(window_[i], block))
-                continue;
-            // Matched region i: retire everything before it and slide
-            // the window forward, issuing prefetches for newly loaded
-            // records. The bounds only move when the window contents
-            // change — a match on the head region with a full window
-            // (the common steady-state case) recomputes nothing.
-            advanced_ += i;
-            window_.erase(window_.begin(),
-                          window_.begin() +
-                              static_cast<std::ptrdiff_t>(i));
-            const bool loaded = refill(out);
-            if (i > 0 || loaded)
-                updateBounds();
-            return true;
-        }
-        return false;
+        advanced_ += i;
+        for (std::size_t k = 0; k < i; ++k)
+            uncount(window_[k]);
+        window_.erase(window_.begin(),
+                      window_.begin() + static_cast<std::ptrdiff_t>(i));
+        refill(out);
+        return true;
     }
 
     /** True while the SAB has a live window. */
-    bool active() const { return active_; }
-
-    /**
-     * Conservative coverage bounds (the onAccess fast reject's
-     * [lo_, hi_]). Inactive SABs park them at [invalidAddr, 0], so a
-     * pool can min/max over every SAB without checking active().
-     */
-    Addr boundLo() const { return lo_; }
-    Addr boundHi() const { return hi_; }
+    bool active() const { return !window_.empty(); }
 
     /** LRU tick of the last match or allocation. */
     std::uint64_t lastUse() const { return lastUse_; }
@@ -114,66 +96,96 @@ class StreamAddressBuffer
     /** Regions streamed through this SAB since allocation. */
     std::uint64_t advanced() const { return advanced_; }
 
+    /**
+     * Blocks the filter counts: the window entries' cover-mask bits,
+     * one per (entry, block) pair, while its bookkeeping is exact.
+     */
+    std::uint32_t
+    filterCount() const
+    {
+        std::uint32_t n = 0;
+        for (std::uint16_t c : filter_)
+            n += c;
+        return n;
+    }
+
     /** True if @p block is covered by any region in the window. */
     bool
     windowCovers(Addr block) const
     {
-        if (!active_)
-            return false;
-        for (const SpatialRegion &rec : window_) {
-            if (regionCovers(rec, block))
-                return true;
-        }
-        return false;
+        return filter_[slot(block)] != 0 &&
+               firstMatch(block) < window_.size();
     }
 
   private:
-    /** Append the blocks of @p rec to @p out (left-to-right order). */
-    void emitRegion(const SpatialRegion &rec, std::vector<Addr> &out);
+    /**
+     * One loaded region: bit j of @ref mask covers block base + j, so
+     * the trigger is bit blocksBefore and the mask's ascending bits are
+     * the bit vector's left-to-right order.
+     */
+    struct Entry
+    {
+        Addr base;
+        std::uint32_t mask;
+    };
+
+    /** Filter counters; a power of two, indexed by the low block bits
+     * so the blocks of one region never share a counter. */
+    static constexpr std::size_t filterSlots = 512;
+
+    static std::size_t slot(Addr block) { return block & (filterSlots - 1); }
 
     /**
-     * Load records from history until the window is full.
-     * @return true if at least one record was loaded (callers refresh
-     *         the coverage bounds on any window change).
+     * Index of the first entry covering @p block, or the window size.
+     * Each 64-entry chunk is one pass without branches that leaves bit
+     * k - at set when entry k covers the block (walking down, so each
+     * step shifts by one instead of by k).
      */
-    bool refill(std::vector<Addr> &out);
-
-    /** Recompute the [lo_, hi_] coverage bounds from the window. */
-    void updateBounds();
-
-    /** True if @p rec covers @p block (trigger or set neighbour bit). */
-    bool
-    regionCovers(const SpatialRegion &rec, Addr block) const
+    std::size_t
+    firstMatch(Addr block) const
     {
-        const std::int64_t off = static_cast<std::int64_t>(block) -
-            static_cast<std::int64_t>(rec.triggerBlock());
-        if (off == 0)
-            return true;
-        if (off < -static_cast<std::int64_t>(blocksBefore_) ||
-            off > static_cast<std::int64_t>(31 - blocksBefore_)) {
-            return false;
+        const std::size_t n = window_.size();
+        for (std::size_t at = 0; at < n; at += 64) {
+            const std::size_t end = n - at < 64 ? n : at + 64;
+            std::uint64_t hits = 0;
+            for (std::size_t k = end; k-- > at;) {
+                const Addr d = block - window_[k].base;
+                const std::uint64_t covers =
+                    (d < 32) & (window_[k].mask >> (d & 31));
+                hits = hits << 1 | (covers & 1);
+            }
+            if (hits != 0)
+                return at + static_cast<std::size_t>(bits::countrZero(hits));
         }
-        return rec.testOffset(static_cast<int>(off), blocksBefore_);
+        return n;
     }
+
+    /** Drop @p e's covered blocks from the filter (region retires). */
+    void
+    uncount(const Entry &e)
+    {
+        for (std::uint32_t m = e.mask; m != 0; m &= m - 1)
+            --filter_[slot(e.base + static_cast<Addr>(bits::countrZero(m)))];
+    }
+
+    /** Load records from history until the window is full. */
+    void refill(std::vector<Addr> &out);
 
     unsigned windowRegions_;
     unsigned blocksBefore_;
 
-    bool active_ = false;
     const HistoryBuffer *hist_ = nullptr;
     std::uint64_t ptr_ = 0;  //!< next history sequence to load
-    std::vector<SpatialRegion> window_;
+    std::vector<Entry> window_;
     std::uint64_t lastUse_ = 0;
     std::uint64_t advanced_ = 0;
 
     /**
-     * Conservative bounds on the blocks the window can cover
-     * (min trigger - blocksBefore_ .. max trigger + 31 - blocksBefore_),
-     * kept in sync on every window change. Inactive/empty windows hold
-     * the empty interval [invalidAddr, 0] so every access fast-rejects.
+     * Per-slot count of window blocks hashing there, over every entry.
+     * A window holds at most 1,024 regions (validateSystemConfig) of at
+     * most 32 blocks each, so a counter never exceeds 32,768.
      */
-    Addr lo_ = invalidAddr;
-    Addr hi_ = 0;
+    std::array<std::uint16_t, filterSlots> filter_{};
 };
 
 } // namespace pifetch

@@ -9,10 +9,6 @@
 
 namespace pifetch {
 
-namespace {
-constexpr std::size_t queueCap = 64;
-} // namespace
-
 DiscontinuityPrefetcher::DiscontinuityPrefetcher(
         const DiscontinuityConfig &cfg)
     : cfg_(cfg)
@@ -32,11 +28,8 @@ DiscontinuityPrefetcher::DiscontinuityPrefetcher(
 void
 DiscontinuityPrefetcher::enqueue(Addr block)
 {
-    if (queued_.count(block) || queue_.size() >= queueCap)
-        return;
-    queue_.push_back(block);
-    queued_.insert(block);
-    ++issued_;
+    if (queue_.push(block))
+        ++issued_;
 }
 
 void
@@ -101,21 +94,6 @@ DiscontinuityPrefetcher::onFetchAccess(const FetchInfo &info)
     }
 
     lastBlock_ = info.block;
-}
-
-unsigned
-DiscontinuityPrefetcher::drainRequests(std::vector<Addr> &out,
-                                       unsigned max)
-{
-    unsigned n = 0;
-    while (n < max && !queue_.empty()) {
-        const Addr b = queue_.front();
-        queue_.pop_front();
-        queued_.erase(b);
-        out.push_back(b);
-        ++n;
-    }
-    return n;
 }
 
 } // namespace pifetch

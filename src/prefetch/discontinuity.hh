@@ -13,10 +13,9 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <vector>
 
-#include "common/flat_hash.hh"
+#include "prefetch/prefetch_queue.hh"
 #include "prefetch/prefetcher.hh"
 
 namespace pifetch {
@@ -38,7 +37,12 @@ class DiscontinuityPrefetcher final : public Prefetcher
     explicit DiscontinuityPrefetcher(const DiscontinuityConfig &cfg);
 
     void onFetchAccess(const FetchInfo &info) override;
-    unsigned drainRequests(std::vector<Addr> &out, unsigned max) override;
+
+    unsigned
+    drainRequests(std::vector<Addr> &out, unsigned max) override
+    {
+        return queue_.drain(out, max);
+    }
 
   private:
     struct Entry
@@ -59,8 +63,7 @@ class DiscontinuityPrefetcher final : public Prefetcher
     std::vector<Entry> table_;
 
     Addr lastBlock_ = invalidAddr;
-    std::deque<Addr> queue_;
-    AddrSet queued_;
+    PrefetchQueue queue_{64};
 };
 
 } // namespace pifetch

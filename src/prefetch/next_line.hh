@@ -10,10 +10,8 @@
 
 #pragma once
 
-#include <deque>
-
 #include "common/config.hh"
-#include "common/flat_hash.hh"
+#include "prefetch/prefetch_queue.hh"
 #include "prefetch/prefetcher.hh"
 
 namespace pifetch {
@@ -27,13 +25,17 @@ class NextLinePrefetcher final : public Prefetcher
     explicit NextLinePrefetcher(const NextLineConfig &cfg);
 
     void onFetchAccess(const FetchInfo &info) override;
-    unsigned drainRequests(std::vector<Addr> &out, unsigned max) override;
+
+    unsigned
+    drainRequests(std::vector<Addr> &out, unsigned max) override
+    {
+        return queue_.drain(out, max);
+    }
 
   private:
     unsigned degree_;
     Addr lastBlock_ = invalidAddr;
-    std::deque<Addr> queue_;
-    AddrSet queued_;
+    PrefetchQueue queue_{64};
 };
 
 } // namespace pifetch

@@ -7,10 +7,6 @@
 
 namespace pifetch {
 
-namespace {
-constexpr std::size_t queueCap = 256;
-} // namespace
-
 TifsPrefetcher::TifsPrefetcher(const TifsConfig &cfg)
     : cfg_(cfg),
       index_(cfg.unbounded ? 0 : cfg.indexEntries, cfg.indexAssoc),
@@ -49,11 +45,8 @@ TifsPrefetcher::at(std::uint64_t seq) const
 void
 TifsPrefetcher::enqueue(Addr block)
 {
-    if (queued_.count(block) || queue_.size() >= queueCap)
-        return;
-    queue_.push_back(block);
-    queued_.insert(block);
-    ++issued_;
+    if (queue_.push(block))
+        ++issued_;
 }
 
 void
@@ -119,20 +112,6 @@ TifsPrefetcher::onFetchAccess(const FetchInfo &info)
     }
 
     record(info.block);
-}
-
-unsigned
-TifsPrefetcher::drainRequests(std::vector<Addr> &out, unsigned max)
-{
-    unsigned n = 0;
-    while (n < max && !queue_.empty()) {
-        const Addr b = queue_.front();
-        queue_.pop_front();
-        queued_.erase(b);
-        out.push_back(b);
-        ++n;
-    }
-    return n;
 }
 
 } // namespace pifetch

@@ -18,8 +18,8 @@
 #include <vector>
 
 #include "common/config.hh"
-#include "common/flat_hash.hh"
 #include "pif/index_table.hh"
+#include "prefetch/prefetch_queue.hh"
 #include "prefetch/prefetcher.hh"
 
 namespace pifetch {
@@ -33,7 +33,12 @@ class TifsPrefetcher final : public Prefetcher
     explicit TifsPrefetcher(const TifsConfig &cfg);
 
     void onFetchAccess(const FetchInfo &info) override;
-    unsigned drainRequests(std::vector<Addr> &out, unsigned max) override;
+
+    unsigned
+    drainRequests(std::vector<Addr> &out, unsigned max) override
+    {
+        return queue_.drain(out, max);
+    }
 
     /** Miss-history entries recorded. */
     std::uint64_t recorded() const { return tail_; }
@@ -70,8 +75,7 @@ class TifsPrefetcher final : public Prefetcher
     std::vector<Stream> streams_;
     std::uint64_t tick_ = 0;
 
-    std::deque<Addr> queue_;
-    AddrSet queued_;
+    PrefetchQueue queue_{256};
 };
 
 } // namespace pifetch

@@ -5,6 +5,7 @@
 
 #include "sim/cycle_engine.hh"
 
+#include <algorithm>
 #include <stdexcept>
 
 #include "sim/prefetcher_dispatch.hh"
@@ -61,9 +62,10 @@ CycleEngine::attachObservers(const ObserverConfig &obs)
 }
 
 void
-CycleEngine::processReadyFills()
+CycleEngine::installReadyFills()
 {
     const Cycle now = timing_.cycles();
+    nextFill_ = noFill;
     // Known hazard: ready fills reach L1I in hash order, which can
     // leak the standard library's bucket layout into LRU recency.
     // The current order is locked byte-for-byte by the golden suite
@@ -78,25 +80,29 @@ CycleEngine::processReadyFills()
             observers_.observePrefetchFill(it->first);
             it = pending_.erase(it);
         } else {
+            nextFill_ = std::min(nextFill_, it->second);
             ++it;
         }
     }
 }
 
 template <typename P>
-void
+bool
 CycleEngine::issuePrefetches(P &prefetcher)
 {
     drain_.clear();
-    prefetcher.drainRequests(drain_, drainPerStep);
+    if (prefetcher.drainRequests(drain_, drainPerStep) == 0)
+        return false;
     for (Addr b : drain_) {
         if (l1i_.probe(b) || pending_.count(b))
             continue;
         if (pending_.size() >= cfg_.l1i.mshrs)
             break;  // MSHRs full: drop (back-pressure)
-        const Cycle lat = hierarchy_.request(b);
-        pending_.emplace(b, timing_.cycles() + lat);
+        const Cycle done = timing_.cycles() + hierarchy_.request(b);
+        pending_.emplace(b, done);
+        nextFill_ = std::min(nextFill_, done);
     }
+    return true;
 }
 
 template <typename P>
@@ -161,18 +167,21 @@ CycleEngine::backStage(P &prefetcher, bool measuring,
         retired.trapLevel = s.trapLevel;
         prefetcher.onRetire(retired, tagged);
         timing_.instruction(s.trapLevel);
-        issuePrefetches(prefetcher);
+        bool draining = issuePrefetches(prefetcher);
 
         // The same-block run: no fetches, and no retire hook call
         // (PIF's spatial compactor drops a PC in the block it saw
         // last), but fills, timing and issue stay per instruction.
+        // Nothing enqueues mid-run, so once a drain comes back empty
+        // the queue stays empty and the run stops draining.
         for (std::uint32_t k = 0; k < s.sameBlock; ++k) {
             processReadyFills();
             if (observed)
                 observers_.observeStep(observed->get(at++), nullptr, 0,
                                        *exec_, frontend_, l1i_);
             timing_.instruction(s.trapLevel);
-            issuePrefetches(prefetcher);
+            if (draining)
+                draining = issuePrefetches(prefetcher);
         }
     }
 }
@@ -224,9 +233,12 @@ CycleEngine::run(InstCount warmup, InstCount measure)
     // fill completion times so stale absolute cycles cannot charge
     // enormous residual stalls in the measurement window.
     const Cycle t0 = timing_.cycles();
+    nextFill_ = noFill;
     // lint:allow(D-unordered-iter): per-entry rebase, order-insensitive
-    for (auto &entry : pending_)
+    for (auto &entry : pending_) {
         entry.second = entry.second > t0 ? entry.second - t0 : 0;
+        nextFill_ = std::min(nextFill_, entry.second);
+    }
 
     timing_.resetStats();
     prefetcher_->resetStats();

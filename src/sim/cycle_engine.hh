@@ -144,12 +144,23 @@ class CycleEngine
     void backStage(P &prefetcher, bool measuring,
                    const RecordBatch *observed);
 
-    /** Issue one instruction's prefetch candidates, MSHR-limited. */
+    /**
+     * Issue one instruction's prefetch candidates, MSHR-limited.
+     * @return false if the prefetcher had none queued.
+     */
     template <typename P>
-    void issuePrefetches(P &prefetcher);
+    bool issuePrefetches(P &prefetcher);
 
     /** Install prefetch fills whose latency has elapsed. */
-    void processReadyFills();
+    void
+    processReadyFills()
+    {
+        if (timing_.cycles() >= nextFill_)
+            installReadyFills();
+    }
+
+    /** processReadyFills' walk over pending_, once a fill may be due. */
+    void installReadyFills();
 
     /** Cumulative timing-independent counters. */
     RunCounters counters() const;
@@ -167,6 +178,10 @@ class CycleEngine
 
     /** In-flight prefetch fills: block -> completion cycle. */
     std::unordered_map<Addr, Cycle> pending_;
+    static constexpr Cycle noFill = ~Cycle{0};
+    /** A lower bound on pending_'s earliest completion cycle: no fill
+     * is due while the clock is below it. */
+    Cycle nextFill_ = noFill;
 
     RecordBatch batch_;
     std::uint32_t batchLen_ = recordBatchLen;

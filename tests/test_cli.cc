@@ -80,6 +80,19 @@ TEST(Cli, FailureExits)
         // A lint run that scans no file is a usage error, not clean.
         {{"lint", "src/cahce"}, 2},
         {{"lint", "--root", "/nonexistent"}, 2},
+        // The lint modes print and exit: a scan option, a path, the
+        // other mode or (with --list-rules) --quiet would be ignored.
+        {{"lint", "--self-test", "--json", "x.json"}, 2},
+        {{"lint", "--self-test", "--rule", "D-rand"}, 2},
+        {{"lint", "--self-test", "--root", "."}, 2},
+        {{"lint", "--self-test", "src"}, 2},
+        {{"lint", "--list-rules", "--json", "x.json"}, 2},
+        {{"lint", "--list-rules", "--rule", "D-rand"}, 2},
+        {{"lint", "--list-rules", "--root", "."}, 2},
+        {{"lint", "--list-rules", "src"}, 2},
+        {{"lint", "--list-rules", "--quiet"}, 2},
+        {{"lint", "--list-rules", "--self-test"}, 2},
+        {{"lint", "--self-test", "--list-rules"}, 2},
         {{"bogus"}, 2},
         {{}, 2},
     };
@@ -138,6 +151,20 @@ TEST(Cli, OverrideMessagesNameTheFault)
                          "'pif.blocksBefore'"),
               0u)
         << o.err;
+}
+
+TEST(Cli, LintModesRefuseIgnoredOptions)
+{
+    Outcome o = cli({"lint", "--self-test", "--json", "x.json"});
+    EXPECT_EQ(o.err, "pifetch lint: --json has no effect with --self-test\n");
+    EXPECT_TRUE(o.out.empty());
+    o = cli({"lint", "--self-test", "--list-rules"});
+    EXPECT_EQ(o.err,
+              "pifetch lint: --self-test has no effect with --list-rules\n");
+    // scripts/check.sh runs the self-test quietly.
+    o = cli({"lint", "--self-test", "--quiet"});
+    EXPECT_EQ(o.rc, 0) << o.err;
+    EXPECT_TRUE(o.out.empty());
 }
 
 TEST(Cli, JsonToStdoutIsTheDocument)

@@ -1,14 +1,19 @@
 /**
  * @file
- * Baseline prefetcher tests: next-line, TIFS, discontinuity.
+ * Baseline prefetcher tests: next-line, TIFS, discontinuity, and the
+ * prefetch queue all four queueing prefetchers share.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <deque>
+#include <set>
 
+#include "common/rng.hh"
 #include "prefetch/discontinuity.hh"
 #include "prefetch/next_line.hh"
+#include "prefetch/prefetch_queue.hh"
 #include "prefetch/prefetcher.hh"
 #include "prefetch/tifs.hh"
 
@@ -24,6 +29,54 @@ fetchOf(Addr block, bool hit = false)
     f.hit = hit;
     f.correctPath = true;
     return f;
+}
+
+TEST(PrefetchQueue, MatchesDequeAndSetModel)
+{
+    // The model is the deque-plus-set the prefetchers kept before the
+    // shared ring: FIFO order, dedup against queued blocks, a drop when
+    // full, and contains() as set membership.
+    for (const std::size_t cap : {std::size_t{64}, std::size_t{256}}) {
+        Rng rng(0x9e0e + cap);
+        PrefetchQueue q(cap);
+        std::deque<Addr> fifo;
+        std::set<Addr> queued;
+        std::vector<Addr> got;
+        unsigned full = 0, dups = 0;
+        for (int op = 0; op < 100000; ++op) {
+            // Phases of 2,000 operations alternately fill the queue
+            // past its capacity and empty it, so the ring wraps many
+            // times; a key space of twice the capacity makes duplicate
+            // pushes common.
+            const bool filling = op / 2000 % 2 == 0;
+            const Addr b = rng.below(cap * 2);
+            if (rng.chance(filling ? 0.9 : 0.1)) {
+                full += fifo.size() == cap;
+                dups += fifo.size() < cap && queued.count(b) != 0;
+                const bool want = fifo.size() < cap && !queued.count(b);
+                if (want) {
+                    fifo.push_back(b);
+                    queued.insert(b);
+                }
+                ASSERT_EQ(q.push(b), want) << "cap " << cap << " op " << op;
+            } else {
+                const unsigned max = static_cast<unsigned>(rng.below(5));
+                got.clear();
+                const unsigned n = q.drain(got, max);
+                ASSERT_EQ(n, std::min<std::size_t>(max, fifo.size()));
+                ASSERT_EQ(got.size(), n);
+                for (Addr g : got) {
+                    ASSERT_EQ(g, fifo.front()) << "cap " << cap;
+                    queued.erase(g);
+                    fifo.pop_front();
+                }
+            }
+            const Addr probe = rng.below(cap * 2);
+            ASSERT_EQ(q.contains(probe), queued.count(probe) != 0);
+        }
+        EXPECT_GT(full, 1000u) << "cap " << cap;
+        EXPECT_GT(dups, 1000u) << "cap " << cap;
+    }
 }
 
 TEST(NullPrefetcher, ProducesNothing)
