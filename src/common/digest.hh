@@ -6,10 +6,10 @@
  * and CycleEngine by comparing the exact sequence of retired
  * instructions and fetch accesses each engine produced. Storing the
  * streams would cost gigabytes; instead the engines can fold every
- * element into a 64-bit FNV-1a digest, and two digests are equal iff
- * the streams (almost certainly) were. Digest collection is off by
- * default so the replay hot path pays nothing beyond one predictable
- * branch per instruction.
+ * element into a 64-bit digest, one multiply per word, and two digests
+ * are equal iff the streams (almost certainly) were. Digest collection
+ * is off by default so the replay hot path pays nothing beyond one
+ * predictable branch per instruction.
  */
 
 #pragma once
@@ -19,11 +19,16 @@
 namespace pifetch {
 
 /**
- * 64-bit FNV-1a accumulator over a sequence of 64-bit words.
+ * 64-bit accumulator over a sequence of 64-bit words.
  *
- * Order-sensitive by construction: add(a); add(b) and add(b); add(a)
- * produce different values, which is exactly what a stream comparison
- * needs.
+ * Each word takes one step: xor it into the state, multiply by an odd
+ * constant, then xor the high half of the product down. Each step is a
+ * bijection of the state, so two streams that differ in exactly one
+ * word always digest differently, and order matters: add(a); add(b)
+ * and add(b); add(a) produce different values, which is exactly what a
+ * stream comparison needs. The final xor-shift is what keeps a
+ * difference in the top bit from riding the multiply unchanged:
+ * without it, flipping bit 63 of any two words would cancel.
  */
 class StreamDigest
 {
@@ -32,25 +37,23 @@ class StreamDigest
     void
     add(std::uint64_t word)
     {
-        // Mix the word byte-wise through FNV-1a so single-bit
-        // differences in any byte avalanche through the state.
-        for (int b = 0; b < 64; b += 8) {
-            hash_ ^= (word >> b) & 0xff;
-            hash_ *= prime;
-        }
+        hash_ = (hash_ ^ word) * multiplier;
+        hash_ ^= hash_ >> 32;
     }
 
     /** Current digest value. */
     std::uint64_t value() const { return hash_; }
 
     /** Restore the initial (empty-stream) state. */
-    void reset() { hash_ = offsetBasis; }
+    void reset() { hash_ = initial; }
 
   private:
-    static constexpr std::uint64_t offsetBasis = 0xcbf29ce484222325ull;
-    static constexpr std::uint64_t prime = 0x100000001b3ull;
+    /** Nonzero: from a zero state, zero words would stay at zero. */
+    static constexpr std::uint64_t initial = 0xcbf29ce484222325ull;
+    /** floor(2^64 / golden ratio); odd, so the multiply is a bijection. */
+    static constexpr std::uint64_t multiplier = 0x9e3779b97f4a7c15ull;
 
-    std::uint64_t hash_ = offsetBasis;
+    std::uint64_t hash_ = initial;
 };
 
 /**

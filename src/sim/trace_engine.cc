@@ -60,7 +60,7 @@ TraceEngine::attachObservers(const ObserverConfig &obs)
 }
 
 template <typename P>
-void
+bool
 TraceEngine::drainFills(P &prefetcher, bool observing)
 {
     // Apply prefetch candidates: probe the tags first (Section 4.3's
@@ -68,7 +68,8 @@ TraceEngine::drainFills(P &prefetcher, bool observing)
     // This stays per-instruction — the fill changes what the very next
     // instruction's fetch hits.
     drain_.clear();
-    prefetcher.drainRequests(drain_, drainPerStep);
+    if (prefetcher.drainRequests(drain_, drainPerStep) == 0)
+        return false;
     for (Addr b : drain_) {
         if (!l1i_.probe(b)) {
             l1i_.fill(b, true);
@@ -76,6 +77,7 @@ TraceEngine::drainFills(P &prefetcher, bool observing)
                 observers_.observePrefetchFill(b);
         }
     }
+    return true;
 }
 
 template <typename P>
@@ -109,11 +111,15 @@ TraceEngine::backStage(P &prefetcher, const RecordBatch *observed)
         retired.pc = s.pc;
         retired.trapLevel = s.trapLevel;
         prefetcher.onRetire(retired, tagged);
-        drainFills(prefetcher, observing);
+        bool draining = drainFills(prefetcher, observing);
 
-        // The same-block run retires without a retire hook call: the
-        // only retire hook that does anything is PIF's, whose spatial
-        // compactor drops a PC in the block it saw last.
+        // The same-block run: no front-end work, no fetches and no
+        // retire hook call (the only retire hook that does anything is
+        // PIF's, whose spatial compactor drops a PC in the block it saw
+        // last), and the drain keeps its per-instruction budget. No
+        // accesses intervene, so nothing enqueues mid-run: once a drain
+        // comes back empty the queue stays empty, and stopping early is
+        // state-identical to draining once per instruction.
         if (s.sameBlock == 0)
             continue;
         if (observing) {
@@ -121,24 +127,13 @@ TraceEngine::backStage(P &prefetcher, const RecordBatch *observed)
             for (std::uint32_t k = 0; k < s.sameBlock; ++k) {
                 observers_.observeStep(observed->get(at++), nullptr, 0,
                                        *exec_, frontend_, l1i_);
-                drainFills(prefetcher, true);
+                if (draining)
+                    draining = drainFills(prefetcher, true);
             }
             continue;
         }
-        // Bulk same-block run: no front-end work and no fetches, and
-        // the drain keeps its per-instruction budget. No accesses
-        // intervene, so nothing enqueues mid-run: once a drain comes
-        // back empty the queue stays empty, and stopping early is
-        // state-identical to draining once per instruction.
-        for (std::uint32_t k = 0; k < s.sameBlock; ++k) {
-            drain_.clear();
-            if (prefetcher.drainRequests(drain_, drainPerStep) == 0)
-                break;
-            for (Addr b : drain_) {
-                if (!l1i_.probe(b))
-                    l1i_.fill(b, true);
-            }
-        }
+        for (std::uint32_t k = 0; k < s.sameBlock && draining; ++k)
+            draining = drainFills(prefetcher, false);
     }
 }
 

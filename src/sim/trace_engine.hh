@@ -175,9 +175,12 @@ class TraceEngine
     template <typename P>
     void backStage(P &prefetcher, const RecordBatch *observed);
 
-    /** Apply one instruction's share of the prefetch drain. */
+    /**
+     * Apply one instruction's share of the prefetch drain; false when
+     * the queue was already empty.
+     */
     template <typename P>
-    void drainFills(P &prefetcher, bool observing);
+    bool drainFills(P &prefetcher, bool observing);
 
     /** Cumulative counters (see run()). */
     RunCounters counters() const;

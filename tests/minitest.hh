@@ -68,6 +68,13 @@ class Message
     std::ostringstream oss_;
 };
 
+/** Streams the text, so SCOPED_TRACE takes a Message as GoogleTest's does. */
+inline std::ostream &
+operator<<(std::ostream &os, const Message &msg)
+{
+    return os << msg.str();
+}
+
 namespace internal {
 
 /** One runnable, fully-instantiated test. */

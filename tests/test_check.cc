@@ -9,10 +9,12 @@
 #include <algorithm>
 #include <cstdint>
 #include <set>
+#include <utility>
 #include <vector>
 
 #include "check/checker.hh"
 #include "common/digest.hh"
+#include "common/rng.hh"
 #include "query/event_store.hh"
 
 namespace pifetch {
@@ -37,6 +39,47 @@ TEST(StreamDigest, OrderAndContentSensitive)
 
     ab2.reset();
     EXPECT_EQ(ab2.value(), StreamDigest().value());
+
+    // Every one of these edits of a seeded six-word stream must move
+    // the digest.
+    const auto digestOf = [](const std::vector<std::uint64_t> &words) {
+        StreamDigest d;
+        for (const std::uint64_t w : words)
+            d.add(w);
+        return d.value();
+    };
+    Rng rng(24);
+    std::vector<std::uint64_t> words(6);
+    for (std::uint64_t &w : words)
+        w = rng.next();
+    const std::uint64_t base = digestOf(words);
+
+    for (std::size_t i = 0; i < words.size(); ++i) {
+        for (unsigned bit = 0; bit < 64; ++bit) {
+            std::vector<std::uint64_t> v = words;
+            v[i] ^= std::uint64_t{1} << bit;
+            EXPECT_NE(digestOf(v), base) << "word " << i << " bit " << bit;
+        }
+    }
+    for (std::size_t i = 0; i + 1 < words.size(); ++i) {
+        std::vector<std::uint64_t> v = words;
+        std::swap(v[i], v[i + 1]);
+        EXPECT_NE(digestOf(v), base) << "swap " << i;
+    }
+    // A difference confined to the top bit survives a bare multiply
+    // unchanged, so two such flips would cancel.
+    constexpr std::uint64_t top = std::uint64_t{1} << 63;
+    for (std::size_t i = 0; i < words.size(); ++i) {
+        for (std::size_t j = i + 1; j < words.size(); ++j) {
+            std::vector<std::uint64_t> v = words;
+            v[i] ^= top;
+            v[j] ^= top;
+            EXPECT_NE(digestOf(v), base) << "top bits " << i << ", " << j;
+        }
+    }
+    std::vector<std::uint64_t> longer = words;
+    longer.push_back(0);
+    EXPECT_NE(digestOf(longer), base);
 }
 
 // ----------------------------------------------------------- scenarios

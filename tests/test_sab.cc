@@ -6,7 +6,6 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "common/rng.hh"
@@ -288,10 +287,10 @@ TEST(Sab, MatchesTheRegionWindowModel)
                 ModelSab model(window, before);
                 std::vector<Addr> got, want;
                 for (int step = 0; step < 3000; ++step) {
-                    SCOPED_TRACE("before " + std::to_string(before) +
-                                 " after " + std::to_string(after) +
-                                 " window " + std::to_string(window) +
-                                 " step " + std::to_string(step));
+                    SCOPED_TRACE(testing::Message()
+                                 << "before " << before << " after "
+                                 << after << " window " << window
+                                 << " step " << step);
                     got.clear();
                     want.clear();
                     Addr block = rng.below(100000);
