@@ -16,14 +16,16 @@ namespace pifetch {
  * branch PC. Captures strongly biased branches (the majority in server
  * code) without history interference.
  */
-class BimodalPredictor final : public DirectionPredictor
+class BimodalPredictor
 {
   public:
     /** @param entries Table size; must be a power of two. */
     explicit BimodalPredictor(unsigned entries);
 
-    bool predict(Addr pc) override;
-    void update(Addr pc, bool taken) override;
+    /** Predicted direction of the conditional branch at @p pc. */
+    bool predict(Addr pc);
+    /** Train with the resolved direction. */
+    void update(Addr pc, bool taken);
 
   private:
     std::uint64_t indexOf(Addr pc) const

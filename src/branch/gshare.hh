@@ -18,7 +18,7 @@ namespace pifetch {
  * resolves each branch before predicting the next one of the same
  * thread, so speculative-history repair is unnecessary here.
  */
-class GsharePredictor final : public DirectionPredictor
+class GsharePredictor
 {
   public:
     /**
@@ -27,8 +27,10 @@ class GsharePredictor final : public DirectionPredictor
      */
     GsharePredictor(unsigned entries, unsigned history_bits);
 
-    bool predict(Addr pc) override;
-    void update(Addr pc, bool taken) override;
+    /** Predicted direction of the conditional branch at @p pc. */
+    bool predict(Addr pc);
+    /** Train with the resolved direction. */
+    void update(Addr pc, bool taken);
 
     /** Current global history register (tests). */
     std::uint64_t history() const { return history_; }

@@ -21,13 +21,15 @@ namespace pifetch {
  * whose prediction is used; the chooser trains only when the components
  * disagree.
  */
-class HybridPredictor final : public DirectionPredictor
+class HybridPredictor
 {
   public:
     explicit HybridPredictor(const BranchConfig &cfg);
 
-    bool predict(Addr pc) override;
-    void update(Addr pc, bool taken) override;
+    /** Predicted direction of the conditional branch at @p pc. */
+    bool predict(Addr pc);
+    /** Train with the resolved direction. */
+    void update(Addr pc, bool taken);
 
     /** Mispredictions observed via recordOutcome(). */
     std::uint64_t mispredicts() const { return mispredicts_; }

@@ -1,6 +1,6 @@
 /**
  * @file
- * Branch direction predictor interface and shared helpers.
+ * The two-bit saturating counter the direction predictors share.
  *
  * The front-end model uses a Table I-style hybrid predictor (16K gshare
  * + 16K bimodal with a chooser) to decide, per conditional branch,
@@ -40,25 +40,6 @@ class SatCounter2
 
   private:
     std::uint8_t v_;
-};
-
-/**
- * Direction predictor interface.
- *
- * predict() must not mutate primary state; speculative history (for
- * gshare) is updated via spec-update hooks so mispredictions can
- * restore it, mirroring real front-ends.
- */
-class DirectionPredictor
-{
-  public:
-    virtual ~DirectionPredictor() = default;
-
-    /** Predict the direction of the conditional branch at @p pc. */
-    virtual bool predict(Addr pc) = 0;
-
-    /** Train with the resolved direction. */
-    virtual void update(Addr pc, bool taken) = 0;
 };
 
 } // namespace pifetch

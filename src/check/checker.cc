@@ -271,12 +271,17 @@ runScenario(const Scenario &sc, FaultInjection inject)
                               sc.kind == PrefetcherKind::Perfect;
     checkAccessInvariance(off, kind_is_null ? pif_full : trace, out);
 
+    // The runs from here to step 5 feed oracles that read counters
+    // only, so they run without observers, on the bulk back stage.
+    const auto plainRun = [&](const SystemConfig &cfg, PrefetcherKind kind,
+                              InstCount measure) {
+        return TraceEngine(cfg, prog, exec, makePrefetcher(kind, cfg))
+            .run(sc.warmup, measure);
+    };
+
     // 3. Doubled measurement window extends the run as a prefix.
-    checkLengthScaling(off,
-                       traceRun(prog, exec, sc.cfg,
-                                PrefetcherKind::None, sc.warmup,
-                                sc.measure * 2),
-                       out);
+    checkLengthScaling(
+        off, plainRun(sc.cfg, PrefetcherKind::None, sc.measure * 2), out);
 
     // 4. Fig. 9: PIF coverage direction in the history budget.
     {
@@ -284,8 +289,7 @@ runScenario(const Scenario &sc, FaultInjection inject)
         small.pif.historyRegions =
             std::max<std::uint64_t>(64, sc.cfg.pif.historyRegions / 4);
         const double cov_small =
-            traceRun(prog, exec, small, PrefetcherKind::Pif, sc.warmup,
-                     sc.measure).pifCoverage;
+            plainRun(small, PrefetcherKind::Pif, sc.measure).pifCoverage;
         double cov_large = pif_full.pifCoverage;
         if (inject == FaultInjection::CoverageDrop)
             cov_large = cov_small - 0.25;
@@ -303,11 +307,11 @@ runScenario(const Scenario &sc, FaultInjection inject)
         std::uint64_t issued_lo =
             sc.kind == PrefetcherKind::NextLine
                 ? trace.prefetchIssued
-                : traceRun(prog, exec, sc.cfg, PrefetcherKind::NextLine,
-                           sc.warmup, sc.measure).prefetchIssued;
+                : plainRun(sc.cfg, PrefetcherKind::NextLine, sc.measure)
+                      .prefetchIssued;
         const std::uint64_t issued_hi =
-            traceRun(prog, exec, doubled, PrefetcherKind::NextLine,
-                     sc.warmup, sc.measure).prefetchIssued;
+            plainRun(doubled, PrefetcherKind::NextLine, sc.measure)
+                .prefetchIssued;
         if (inject == FaultInjection::DegreeMiscount)
             issued_lo = issued_hi + issued_hi / 2 + 64;
         checkDegreeMonotone(issued_lo, issued_hi,

@@ -5,9 +5,6 @@
 
 #include "check/scenario.hh"
 
-#include <algorithm>
-#include <limits>
-
 #include "common/rng.hh"
 
 namespace pifetch {
@@ -200,229 +197,6 @@ validateScenario(const Scenario &sc)
     return std::nullopt;
 }
 
-namespace {
-
-ResultValue
-paramsToResult(const WorkloadParams &p)
-{
-    ResultValue v = ResultValue::object();
-    v.set("name", p.name);
-    v.set("seed", p.seed);
-    v.set("appFunctions", p.appFunctions);
-    v.set("libFunctions", p.libFunctions);
-    v.set("handlers", p.handlers);
-    v.set("meanFnBlocks", p.meanFnBlocks);
-    v.set("maxFnBlocks", p.maxFnBlocks);
-    v.set("meanHandlerBlocks", p.meanHandlerBlocks);
-    v.set("meanBasicBlockInstrs", p.meanBasicBlockInstrs);
-    v.set("callDensity", p.callDensity);
-    v.set("meanAppCalls", p.meanAppCalls);
-    v.set("condDensity", p.condDensity);
-    v.set("jumpDensity", p.jumpDensity);
-    v.set("biasedFraction", p.biasedFraction);
-    v.set("dataDepLo", p.dataDepLo);
-    v.set("dataDepHi", p.dataDepHi);
-    v.set("loopsPerFunction", p.loopsPerFunction);
-    v.set("meanLoopIter", p.meanLoopIter);
-    v.set("zipfS", p.zipfS);
-    v.set("callLayers", p.callLayers);
-    v.set("transactions", p.transactions);
-    v.set("interruptRate", p.interruptRate);
-    v.set("maxCallDepth", p.maxCallDepth);
-    return v;
-}
-
-ResultValue
-configToScenarioResult(const SystemConfig &c)
-{
-    ResultValue l1 = ResultValue::object();
-    l1.set("sizeBytes", c.l1i.sizeBytes);
-    l1.set("assoc", c.l1i.assoc);
-    l1.set("mshrs", c.l1i.mshrs);
-
-    ResultValue pif = ResultValue::object();
-    pif.set("blocksBefore", c.pif.blocksBefore);
-    pif.set("blocksAfter", c.pif.blocksAfter);
-    pif.set("temporalEntries", c.pif.temporalEntries);
-    pif.set("historyRegions", c.pif.historyRegions);
-    pif.set("indexEntries", c.pif.indexEntries);
-    pif.set("indexAssoc", c.pif.indexAssoc);
-    pif.set("numSabs", c.pif.numSabs);
-    pif.set("sabWindowRegions", c.pif.sabWindowRegions);
-    pif.set("separateTrapLevels", c.pif.separateTrapLevels);
-
-    ResultValue tifs = ResultValue::object();
-    tifs.set("historyEntries", c.tifs.historyEntries);
-    tifs.set("numSabs", c.tifs.numSabs);
-    tifs.set("sabWindowBlocks", c.tifs.sabWindowBlocks);
-
-    ResultValue mem = ResultValue::object();
-    mem.set("l2HitLatency", c.memory.l2HitLatency);
-    mem.set("memLatency", c.memory.memLatency);
-
-    ResultValue v = ResultValue::object();
-    v.set("seed", c.seed);
-    v.set("l1i", std::move(l1));
-    v.set("pif", std::move(pif));
-    v.set("tifs", std::move(tifs));
-    v.set("nextLineDegree", c.nextLine.degree);
-    v.set("memory", std::move(mem));
-    return v;
-}
-
-/** Typed member readers: absent keys keep defaults, wrong kinds fail. */
-struct Reader
-{
-    const ResultValue &obj;
-    std::string *err;
-    bool ok = true;
-
-    void
-    fail(const std::string &key, const char *want)
-    {
-        ok = false;
-        if (err && err->empty())
-            *err = "scenario member '" + key + "' is not " + want;
-    }
-
-    template <typename T>
-    void
-    u(const std::string &key, T &out)
-    {
-        const ResultValue *m = obj.find(key);
-        if (!m)
-            return;
-        std::uint64_t value = 0;
-        if (m->kind() == ResultValue::Kind::Uint) {
-            value = m->uintValue();
-        } else if (m->kind() == ResultValue::Kind::Int &&
-                   m->intValue() >= 0) {
-            value = static_cast<std::uint64_t>(m->intValue());
-        } else {
-            fail(key, "a non-negative integer");
-            return;
-        }
-        // Truncating to a narrower field would replay a different
-        // scenario than the document records; refuse instead.
-        if (value > std::numeric_limits<T>::max()) {
-            fail(key, "in range for this field");
-            return;
-        }
-        out = static_cast<T>(value);
-    }
-
-    void
-    d(const std::string &key, double &out)
-    {
-        const ResultValue *m = obj.find(key);
-        if (!m)
-            return;
-        if (m->isNumber())
-            out = m->number();
-        else
-            fail(key, "a number");
-    }
-
-    void
-    b(const std::string &key, bool &out)
-    {
-        const ResultValue *m = obj.find(key);
-        if (!m)
-            return;
-        if (m->kind() == ResultValue::Kind::Bool)
-            out = m->boolean();
-        else
-            fail(key, "a boolean");
-    }
-
-    void
-    s(const std::string &key, std::string &out)
-    {
-        const ResultValue *m = obj.find(key);
-        if (!m)
-            return;
-        if (m->kind() == ResultValue::Kind::String)
-            out = m->str();
-        else
-            fail(key, "a string");
-    }
-};
-
-bool
-paramsFromResult(const ResultValue &v, WorkloadParams &p,
-                 std::string *err)
-{
-    Reader r{v, err};
-    r.s("name", p.name);
-    r.u("seed", p.seed);
-    r.u("appFunctions", p.appFunctions);
-    r.u("libFunctions", p.libFunctions);
-    r.u("handlers", p.handlers);
-    r.d("meanFnBlocks", p.meanFnBlocks);
-    r.u("maxFnBlocks", p.maxFnBlocks);
-    r.d("meanHandlerBlocks", p.meanHandlerBlocks);
-    r.d("meanBasicBlockInstrs", p.meanBasicBlockInstrs);
-    r.d("callDensity", p.callDensity);
-    r.d("meanAppCalls", p.meanAppCalls);
-    r.d("condDensity", p.condDensity);
-    r.d("jumpDensity", p.jumpDensity);
-    r.d("biasedFraction", p.biasedFraction);
-    r.d("dataDepLo", p.dataDepLo);
-    r.d("dataDepHi", p.dataDepHi);
-    r.d("loopsPerFunction", p.loopsPerFunction);
-    r.d("meanLoopIter", p.meanLoopIter);
-    r.d("zipfS", p.zipfS);
-    r.u("callLayers", p.callLayers);
-    r.u("transactions", p.transactions);
-    r.d("interruptRate", p.interruptRate);
-    r.u("maxCallDepth", p.maxCallDepth);
-    return r.ok;
-}
-
-bool
-configFromResult(const ResultValue &v, SystemConfig &c, std::string *err)
-{
-    Reader r{v, err};
-    r.u("seed", c.seed);
-    r.u("nextLineDegree", c.nextLine.degree);
-    if (const ResultValue *l1 = v.find("l1i")) {
-        Reader rl{*l1, err};
-        rl.u("sizeBytes", c.l1i.sizeBytes);
-        rl.u("assoc", c.l1i.assoc);
-        rl.u("mshrs", c.l1i.mshrs);
-        r.ok = r.ok && rl.ok;
-    }
-    if (const ResultValue *pif = v.find("pif")) {
-        Reader rp{*pif, err};
-        rp.u("blocksBefore", c.pif.blocksBefore);
-        rp.u("blocksAfter", c.pif.blocksAfter);
-        rp.u("temporalEntries", c.pif.temporalEntries);
-        rp.u("historyRegions", c.pif.historyRegions);
-        rp.u("indexEntries", c.pif.indexEntries);
-        rp.u("indexAssoc", c.pif.indexAssoc);
-        rp.u("numSabs", c.pif.numSabs);
-        rp.u("sabWindowRegions", c.pif.sabWindowRegions);
-        rp.b("separateTrapLevels", c.pif.separateTrapLevels);
-        r.ok = r.ok && rp.ok;
-    }
-    if (const ResultValue *tifs = v.find("tifs")) {
-        Reader rt{*tifs, err};
-        rt.u("historyEntries", c.tifs.historyEntries);
-        rt.u("numSabs", c.tifs.numSabs);
-        rt.u("sabWindowBlocks", c.tifs.sabWindowBlocks);
-        r.ok = r.ok && rt.ok;
-    }
-    if (const ResultValue *mem = v.find("memory")) {
-        Reader rm{*mem, err};
-        rm.u("l2HitLatency", c.memory.l2HitLatency);
-        rm.u("memLatency", c.memory.memLatency);
-        r.ok = r.ok && rm.ok;
-    }
-    return r.ok;
-}
-
-} // namespace
-
 ResultValue
 toResult(const Scenario &sc)
 {
@@ -433,8 +207,14 @@ toResult(const Scenario &sc)
     v.set("measure", sc.measure);
     v.set("threads", sc.threads);
     v.set("cores", sc.cores);
-    v.set("params", paramsToResult(sc.params));
-    v.set("config", configToScenarioResult(sc.cfg));
+    ResultValue params = ResultValue::object();
+    params.set("name", sc.params.name);
+    forEachWorkloadParam(sc.params, [&](const char *key,
+                                        const auto &value) {
+        params.set(key, value);
+    });
+    v.set("params", std::move(params));
+    v.set("config", configToResult(sc.cfg));
     if (sc.spec)
         v.set("workload_spec", specToResult(*sc.spec));
     return v;
@@ -451,51 +231,50 @@ scenarioFromResult(const ResultValue &v, std::string *err)
     if (v.find("scenario"))
         return scenarioFromResult(*v.find("scenario"), err);
 
-    if (v.kind() != ResultValue::Kind::Object) {
-        if (err)
-            *err = "scenario document is not an object";
-        return std::nullopt;
-    }
-
+    Strict st;
     Scenario sc;
-    Reader r{v, err};
-    r.u("seed", sc.seed);
-    r.u("warmup", sc.warmup);
-    r.u("measure", sc.measure);
-    r.u("threads", sc.threads);
-    r.u("cores", sc.cores);
-    std::string kind = prefetcherKey(sc.kind);
-    r.s("kind", kind);
-    const auto k = prefetcherFromKey(kind);
-    if (!k) {
-        if (err)
-            *err = "unknown prefetcher kind '" + kind + "'";
-        return std::nullopt;
+    if (requireObject(&v, "scenario", st)) {
+        const MemberReader read{v, "scenario", st};
+        read.only({"seed", "kind", "warmup", "measure", "threads",
+                   "cores", "params", "config", "workload_spec"});
+        read("seed", sc.seed);
+        read("warmup", sc.warmup);
+        read("measure", sc.measure);
+        read("threads", sc.threads);
+        read("cores", sc.cores);
+        std::string kind = prefetcherKey(sc.kind);
+        read("kind", kind);
+        if (const auto k = prefetcherFromKey(kind))
+            sc.kind = *k;
+        else
+            st.fail("unknown prefetcher kind '" + kind + "'");
     }
-    sc.kind = *k;
-    if (const ResultValue *params = v.find("params")) {
-        if (!paramsFromResult(*params, sc.params, err))
-            return std::nullopt;
+    const ResultValue *params = v.find("params");
+    if (params && requireObject(params, "scenario.params", st)) {
+        std::vector<std::string> keys = workloadParamKeys();
+        keys.push_back("name");
+        const MemberReader read{*params, "scenario.params", st};
+        read.only(keys);
+        read("name", sc.params.name);
+        forEachWorkloadParam(sc.params, read);
     }
-    if (const ResultValue *cfg = v.find("config")) {
-        if (!configFromResult(*cfg, sc.cfg, err))
-            return std::nullopt;
-    }
-    if (const ResultValue *ws = v.find("workload_spec")) {
-        // Spec decoding is strict by design (unlike the lenient
-        // member readers above): a corrupted spec replays a different
-        // workload, so refuse rather than fill defaults.
+    const ResultValue *cfg = v.find("config");
+    if (cfg && requireObject(cfg, "scenario.config", st))
+        configFromResult(*cfg, "scenario.config", sc.cfg, st);
+    const ResultValue *ws = v.find("workload_spec");
+    if (ws && st.ok()) {
         std::string serr;
         auto spec = workloadSpecFromResult(*ws, &serr);
-        if (!spec) {
-            if (err)
-                *err = "workload_spec: " + serr;
-            return std::nullopt;
-        }
-        sc.spec = std::make_shared<const WorkloadSpec>(std::move(*spec));
+        if (spec)
+            sc.spec = std::make_shared<const WorkloadSpec>(std::move(*spec));
+        else
+            st.fail("workload_spec: " + serr);
     }
-    if (!r.ok)
+    if (!st.ok()) {
+        if (err)
+            *err = st.err;
         return std::nullopt;
+    }
     if (const auto verr = validateScenario(sc)) {
         if (err)
             *err = *verr;

@@ -81,13 +81,21 @@ Scenario scenarioFromSeed(std::uint64_t seed);
  */
 std::optional<std::string> validateScenario(const Scenario &sc);
 
-/** Serialize a scenario (full fidelity round trip). */
+/**
+ * Serialize a scenario (full fidelity round trip). Its `params` hold
+ * the workload name and the generator-knob table
+ * (forEachWorkloadParam); its `config` is configToResult()'s flat
+ * object, the same as a run document's `meta.config`.
+ */
 ResultValue toResult(const Scenario &sc);
 
 /**
  * Parse a scenario serialized by toResult(). Also accepts a failure
  * document wrapping one (prefers its "shrunk", then its "scenario"
- * member). Returns nullopt and sets @p err on malformed input.
+ * member). Absent members keep their defaults; an unknown key, at the
+ * top or in `params` or `config`, is refused, as in a spec file.
+ * Returns nullopt and sets @p err, naming the member, on malformed
+ * input.
  */
 std::optional<Scenario> scenarioFromResult(const ResultValue &v,
                                            std::string *err = nullptr);

@@ -17,6 +17,7 @@
 #include <cstring>
 #include <fstream>
 #include <functional>
+#include <limits>
 #include <optional>
 #include <sstream>
 #include <utility>
@@ -339,8 +340,11 @@ Cli::takeConfig()
         if (!parseU64Value(v, run.cfg.seed))
             badValue(v);
     } else if (flag == OptThreads) {
-        if (!applyConfigOverride(run.cfg, "threads", v))
+        std::uint64_t n = 0;
+        if (!parseU64Value(v, n) || n > std::numeric_limits<unsigned>::max())
             badValue(v);
+        else
+            run.cfg.threads = static_cast<unsigned>(n);
     } else if (!eq) {
         fail("--set expects key=value");
     } else if (!applyConfigOverride(run.cfg, std::string(v, eq), eq + 1,
@@ -390,7 +394,7 @@ cmdList(Cli &c)
                      workloadZooDir().c_str());
     }
     std::fprintf(c.out, "\nconfig override keys (--set / --param):\n ");
-    for (const std::string &k : configOverrideKeys())
+    for (const std::string &k : configKeys())
         std::fprintf(c.out, " %s", k.c_str());
     std::fprintf(c.out, "\n");
     return 0;

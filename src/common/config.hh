@@ -14,10 +14,14 @@
 #include <optional>
 #include <string>
 #include <tuple>
+#include <vector>
 
 #include "common/types.hh"
 
 namespace pifetch {
+
+class ResultValue;
+struct Strict;
 
 /** Geometry and timing of one cache level. */
 struct CacheConfig
@@ -226,13 +230,94 @@ struct SystemConfig
 };
 
 /**
+ * The one table of SystemConfig's result-bearing fields: calls
+ * `fn(key, field, lo, hi)` for each, in `pifetch list` order. The key
+ * is the field's `--set` name and [lo, hi] the bounds
+ * validateSystemConfig() holds it to. The `--set` and sweep parser
+ * (applyConfigOverride), the bounds, `meta.config` and a repro
+ * scenario's `config` (configToResult, configFromResult) all loop
+ * over it, so a field added here is at once settable, bounded,
+ * recorded and replayed. `threads` is not here: it changes no result.
+ * @p cfg may be const.
+ */
+template <typename Config, typename Fn>
+void
+forEachConfigField(Config &cfg, Fn &&fn)
+{
+    // Each cap sits well above Table I and anything the fuzzer emits;
+    // it turns a typo or a corrupted file into a message instead of a
+    // trap, an allocator abort or a hang.
+    constexpr std::uint64_t any = ~std::uint64_t{0};
+    fn("seed", cfg.seed, 0, any);
+    fn("l1i.sizeBytes", cfg.l1i.sizeBytes, 1, 64 << 20);
+    fn("l1i.assoc", cfg.l1i.assoc, 1, 64);
+    fn("l1i.mshrs", cfg.l1i.mshrs, 1, 4'096);
+    fn("memory.memLatency", cfg.memory.memLatency, 0, 1'000'000);
+    fn("memory.l2HitLatency", cfg.memory.l2HitLatency, 0, 1'000'000);
+    fn("core.robEntries", cfg.core.robEntries, 0, any);
+    fn("core.dispatchWidth", cfg.core.dispatchWidth, 1, 64);
+    fn("core.retireWidth", cfg.core.retireWidth, 1, 64);
+    fn("pif.blocksBefore", cfg.pif.blocksBefore, 0, 31);
+    fn("pif.blocksAfter", cfg.pif.blocksAfter, 0, 31);
+    fn("pif.temporalEntries", cfg.pif.temporalEntries, 1, 1'024);
+    fn("pif.historyRegions", cfg.pif.historyRegions, 0, 1 << 22);
+    fn("pif.indexEntries", cfg.pif.indexEntries, 0, 1 << 20);
+    fn("pif.indexAssoc", cfg.pif.indexAssoc, 1, 64);
+    fn("pif.numSabs", cfg.pif.numSabs, 1, 256);
+    fn("pif.sabWindowRegions", cfg.pif.sabWindowRegions, 1, 1'024);
+    fn("pif.separateTrapLevels", cfg.pif.separateTrapLevels, 0, 1);
+    fn("tifs.historyEntries", cfg.tifs.historyEntries, 1, 1 << 22);
+    fn("tifs.numSabs", cfg.tifs.numSabs, 1, 256);
+    fn("tifs.sabWindowBlocks", cfg.tifs.sabWindowBlocks, 1, 4'096);
+    fn("nextLine.degree", cfg.nextLine.degree, 1, 256);
+}
+
+/** The table's keys, in table order. */
+const std::vector<std::string> &configKeys();
+
+/**
  * Check @p cfg against the bounds the simulator needs to run without
- * trapping, aborting in an allocator or hanging: cache and index-table
- * geometry, region, history and SAB sizes, core widths and the thread
- * count. Zero stays legal where it means unbounded (pif.historyRegions,
- * pif.indexEntries). Returns nullopt when valid, else a description of
- * the first violation.
+ * trapping, aborting in an allocator or hanging: the table's bounds,
+ * the thread count, and the geometry of the cache, the PIF region and
+ * the index table. Zero stays legal where it means unbounded
+ * (pif.historyRegions, pif.indexEntries). Returns nullopt when valid,
+ * else a description of the first violation.
  */
 std::optional<std::string> validateSystemConfig(const SystemConfig &cfg);
+
+/**
+ * Strict non-negative integer parse (base 0: decimal/hex/octal).
+ * Rejects negatives outright — strtoull would wrap them to huge
+ * values, turning a typo like "-1" into 1.8e19 instructions. Shared
+ * by the config overrides and the CLI's numeric options.
+ */
+bool parseU64Value(const std::string &s, std::uint64_t &out);
+
+/**
+ * Apply a `key=value` override of a table field ("pif.historyRegions",
+ * "nextLine.degree", "seed", ...). Returns false on an unknown key, an
+ * unparsable value or one wider than its field, and says which in
+ * @p err. It does not bound the result; run validateSystemConfig()
+ * once all overrides are applied.
+ */
+bool applyConfigOverride(SystemConfig &cfg, const std::string &key,
+                         const std::string &value,
+                         std::string *err = nullptr);
+
+/**
+ * The table's fields as one flat object keyed by the table,
+ * `{"seed": 42, "l1i.sizeBytes": 65536, ...}`: a document's
+ * `meta.config` and a scenario's `config`. Each key and value can be
+ * passed back to `--set` as it stands.
+ */
+ResultValue configToResult(const SystemConfig &cfg);
+
+/**
+ * Read a configToResult() object into @p cfg. Absent keys keep their
+ * value; an unknown key or a value of the wrong kind or width fails
+ * @p st, named under @p where.
+ */
+void configFromResult(const ResultValue &obj, const std::string &where,
+                      SystemConfig &cfg, Strict &st);
 
 } // namespace pifetch

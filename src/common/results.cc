@@ -5,6 +5,7 @@
 
 #include "common/results.hh"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -840,6 +841,107 @@ uintArrayFromResult(const ResultValue &v)
         }
     }
     return out;
+}
+
+bool
+Strict::fail(const std::string &msg)
+{
+    if (err.empty())
+        err = msg;
+    return false;
+}
+
+bool
+requireObject(const ResultValue *v, const std::string &where, Strict &st)
+{
+    if (!v || v->kind() != ResultValue::Kind::Object)
+        return st.fail(where + " must be a JSON object");
+    return true;
+}
+
+void
+MemberReader::only(const std::vector<std::string> &keys) const
+{
+    for (std::size_t i = 0; i < obj.size(); ++i) {
+        const std::string &key = obj.member(i).first;
+        if (std::find(keys.begin(), keys.end(), key) == keys.end())
+            st.fail(where + ": unknown key '" + key + "'");
+    }
+}
+
+void
+MemberReader::operator()(const char *key, std::string &out) const
+{
+    const ResultValue *m = obj.find(key);
+    if (!m)
+        return;
+    if (m->kind() != ResultValue::Kind::String) {
+        st.fail(where + " member '" + key + "' must be a string");
+        return;
+    }
+    out = m->str();
+}
+
+void
+MemberReader::operator()(const char *key, std::uint64_t &out) const
+{
+    const ResultValue *m = obj.find(key);
+    if (!m)
+        return;
+    if (m->kind() == ResultValue::Kind::Uint) {
+        out = m->uintValue();
+    } else if (m->kind() == ResultValue::Kind::Int && m->intValue() >= 0) {
+        out = static_cast<std::uint64_t>(m->intValue());
+    } else {
+        st.fail(where + " member '" + key +
+                "' must be a non-negative integer");
+    }
+}
+
+void
+MemberReader::operator()(const char *key, unsigned &out) const
+{
+    std::uint64_t wide = out;
+    (*this)(key, wide);
+    if (!st.ok())
+        return;
+    // Truncating would replay another value than the file records.
+    if (wide > 0xffffffffull) {
+        st.fail(where + " member '" + key + "' does not fit in 32 bits");
+        return;
+    }
+    out = static_cast<unsigned>(wide);
+}
+
+void
+MemberReader::operator()(const char *key, double &out) const
+{
+    const ResultValue *m = obj.find(key);
+    if (!m)
+        return;
+    if (!m->isNumber()) {
+        st.fail(where + " member '" + key + "' must be a number");
+        return;
+    }
+    const double v = m->number();
+    if (!std::isfinite(v)) {
+        st.fail(where + " member '" + key + "' must be finite");
+        return;
+    }
+    out = v;
+}
+
+void
+MemberReader::operator()(const char *key, bool &out) const
+{
+    const ResultValue *m = obj.find(key);
+    if (!m)
+        return;
+    if (m->kind() != ResultValue::Kind::Bool) {
+        st.fail(where + " member '" + key + "' must be a boolean");
+        return;
+    }
+    out = m->boolean();
 }
 
 } // namespace pifetch

@@ -195,4 +195,46 @@ toResultArray(const std::vector<T> &column)
 std::optional<std::vector<std::uint64_t>>
 uintArrayFromResult(const ResultValue &v);
 
+// ------------------------------------------------ strict member reads
+
+/** First-error accumulator for the strict document readers. */
+struct Strict
+{
+    std::string err;
+
+    bool ok() const { return err.empty(); }
+
+    /** Record @p msg unless an error is already recorded; false. */
+    bool fail(const std::string &msg);
+};
+
+/** Fail @p st unless @p v is an object; @p where names it. */
+bool requireObject(const ResultValue *v, const std::string &where,
+                   Strict &st);
+
+/**
+ * Typed reads of one object's members, for the documents the program
+ * reads back (workload specs, repro scenarios). An absent member
+ * keeps its target's value. A member of the wrong kind, a negative
+ * integer, one wider than its field or a non-finite number fails
+ * @ref st with a message naming @ref where and the key. A reader is a
+ * field-table visitor: `forEachWorkloadParam(p, read)` reads every
+ * generator knob.
+ */
+struct MemberReader
+{
+    const ResultValue &obj;  //!< an object (see requireObject)
+    std::string where;
+    Strict &st;
+
+    /** Refuse every member outside @p keys, the object's schema. */
+    void only(const std::vector<std::string> &keys) const;
+
+    void operator()(const char *key, std::string &out) const;
+    void operator()(const char *key, std::uint64_t &out) const;
+    void operator()(const char *key, unsigned &out) const;
+    void operator()(const char *key, double &out) const;
+    void operator()(const char *key, bool &out) const;
+};
+
 } // namespace pifetch

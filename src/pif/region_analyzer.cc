@@ -11,84 +11,53 @@ namespace pifetch {
 
 RegionAnalyzer::RegionAnalyzer(unsigned blocks_before,
                                unsigned blocks_after)
-    : blocksBefore_(blocks_before),
-      blocksAfter_(blocks_after),
+    : compactor_(blocks_before, blocks_after),
       density_({1, 2, 4, 8, 16, 32}),
       groups_({1, 2, 4, 8, 16}),
       offsets_(-static_cast<int>(blocks_before),
                static_cast<int>(blocks_after))
 {
-    if (blocks_before + blocks_after + 1 > 63)
-        fatalError("region analyzer window too wide");
 }
 
 void
-RegionAnalyzer::closeRegion()
+RegionAnalyzer::account(const std::optional<SpatialRegion> &region)
 {
-    if (!active_)
+    if (!region)
         return;
     ++regions_;
+    const unsigned before = compactor_.blocksBefore();
 
-    // Density: unique accessed blocks including the trigger.
-    const unsigned density = static_cast<unsigned>(
-        bits::popcount(mask_));
-    density_.add(density);
+    // Density: unique accessed blocks, the trigger included.
+    density_.add(region->popCount() + 1);
 
-    // Groups: contiguous runs of set bits across the window.
-    unsigned groups = 0;
-    bool in_run = false;
-    const unsigned width = blocksBefore_ + blocksAfter_ + 1;
-    for (unsigned i = 0; i < width; ++i) {
-        const bool set = mask_ & (std::uint64_t{1} << i);
-        if (set && !in_run)
-            ++groups;
-        in_run = set;
-    }
-    groups_.add(groups);
+    // Groups: runs of set bits across the window once the trigger bit
+    // is put back between the blocks before and after it.
+    const std::uint64_t low = (std::uint64_t{1} << before) - 1;
+    const std::uint64_t window = (region->bits & low) |
+                                 (std::uint64_t{1} << before) |
+                                 ((region->bits & ~low) << 1);
+    groups_.add(static_cast<unsigned>(
+        bits::popcount(window & ~(window << 1))));
 
-    // Offsets: one sample per unique accessed block, excluding the
-    // trigger itself (Figure 8 left plots the neighbours).
-    for (unsigned i = 0; i < width; ++i) {
-        if (!(mask_ & (std::uint64_t{1} << i)))
-            continue;
-        const int off = static_cast<int>(i) -
-            static_cast<int>(blocksBefore_);
-        if (off != 0)
-            offsets_.add(off);
+    // Offsets: one sample per neighbour block (Figure 8 left plots
+    // the neighbours, not the trigger).
+    for (std::uint32_t b = region->bits; b != 0; b &= b - 1) {
+        offsets_.add(SpatialRegion::offsetOf(
+            static_cast<unsigned>(bits::countrZero(b)), before));
     }
 }
 
 void
 RegionAnalyzer::observe(Addr pc)
 {
-    const Addr block = blockAddr(pc);
-    if (block == lastBlock_)
-        return;
-    lastBlock_ = block;
-
-    if (active_) {
-        const std::int64_t off = static_cast<std::int64_t>(block) -
-            static_cast<std::int64_t>(triggerBlock_);
-        if (off >= -static_cast<std::int64_t>(blocksBefore_) &&
-            off <= static_cast<std::int64_t>(blocksAfter_)) {
-            mask_ |= std::uint64_t{1}
-                << (off + static_cast<std::int64_t>(blocksBefore_));
-            return;
-        }
-    }
-
-    closeRegion();
-    active_ = true;
-    triggerBlock_ = block;
-    mask_ = std::uint64_t{1} << blocksBefore_;  // trigger bit
+    // Only the block stream matters: no tag, one trap level.
+    account(compactor_.observe(pc, true, 0));
 }
 
 void
 RegionAnalyzer::finish()
 {
-    closeRegion();
-    active_ = false;
-    lastBlock_ = invalidAddr;
+    account(compactor_.flush());
 }
 
 } // namespace pifetch

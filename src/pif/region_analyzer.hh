@@ -15,18 +15,21 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 
 #include "common/histogram.hh"
-#include "common/types.hh"
+#include "pif/spatial_compactor.hh"
 
 namespace pifetch {
 
 /**
  * Region-statistics collector.
  *
- * Unlike the PIF compactor's production geometry (2+5), the studies
- * use a wide window so the distributions themselves reveal the right
- * geometry (the paper's Figure 8 argument).
+ * Regions form exactly as PIF's spatial compactor forms them (it holds
+ * one). Unlike the production geometry (2+5), the studies use a wide
+ * window so the distributions themselves reveal the right geometry
+ * (the paper's Figure 8 argument); the window must fit the
+ * compactor's 32-bit vector.
  */
 class RegionAnalyzer
 {
@@ -56,16 +59,10 @@ class RegionAnalyzer
     std::uint64_t regions() const { return regions_; }
 
   private:
-    /** Account the completed current region into the histograms. */
-    void closeRegion();
+    /** Account a completed region into the histograms. */
+    void account(const std::optional<SpatialRegion> &region);
 
-    unsigned blocksBefore_;
-    unsigned blocksAfter_;
-
-    bool active_ = false;
-    Addr triggerBlock_ = invalidAddr;
-    std::uint64_t mask_ = 0;  //!< bit (off+blocksBefore): block accessed
-    Addr lastBlock_ = invalidAddr;
+    SpatialCompactor compactor_;
 
     RangeHistogram density_;
     RangeHistogram groups_;

@@ -17,22 +17,6 @@
 
 namespace pifetch {
 
-namespace {
-
-/** Unbounded study predictor sizing (Figures 2, 7, 9 left). */
-TemporalPredictorConfig
-studyPredictorConfig()
-{
-    TemporalPredictorConfig c;
-    c.historyCapacity = 0;
-    c.indexEntries = 0;
-    c.numStreams = 4;
-    c.window = 16;
-    return c;
-}
-
-} // namespace
-
 Fig2Result
 runFig2(const WorkloadRef &w, const ExperimentBudget &budget,
         const SystemConfig &cfg)
@@ -42,12 +26,12 @@ runFig2(const WorkloadRef &w, const ExperimentBudget &budget,
     Cache l1i(cfg.l1i);
     Frontend frontend(cfg, l1i, frontendSeed(cfg));
 
-    TemporalStreamPredictor miss_pred(studyPredictorConfig());
-    TemporalStreamPredictor access_pred(studyPredictorConfig());
-    TemporalStreamPredictor retire_pred(studyPredictorConfig());
+    TemporalStreamPredictor miss_pred(TemporalPredictorConfig{});
+    TemporalStreamPredictor access_pred(TemporalPredictorConfig{});
+    TemporalStreamPredictor retire_pred(TemporalPredictorConfig{});
     TemporalStreamPredictor retire_sep[maxTrapLevels] = {
-        TemporalStreamPredictor(studyPredictorConfig()),
-        TemporalStreamPredictor(studyPredictorConfig()),
+        TemporalStreamPredictor(TemporalPredictorConfig{}),
+        TemporalStreamPredictor(TemporalPredictorConfig{}),
     };
 
     Addr last_retire_block = invalidAddr;

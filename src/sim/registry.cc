@@ -14,13 +14,9 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cerrno>
 #include <cmath>
-#include <cstdlib>
-#include <limits>
 #include <mutex>
 #include <set>
-#include <variant>
 
 #include "common/parallel.hh"
 #include "common/types.hh"
@@ -871,30 +867,6 @@ findExperiment(const std::string &name)
 }
 
 ResultValue
-configToResult(const SystemConfig &cfg)
-{
-    ResultValue pif = ResultValue::object();
-    pif.set("blocksBefore", cfg.pif.blocksBefore);
-    pif.set("blocksAfter", cfg.pif.blocksAfter);
-    pif.set("temporalEntries", cfg.pif.temporalEntries);
-    pif.set("historyRegions", cfg.pif.historyRegions);
-    pif.set("indexEntries", cfg.pif.indexEntries);
-    pif.set("numSabs", cfg.pif.numSabs);
-    pif.set("sabWindowRegions", cfg.pif.sabWindowRegions);
-    pif.set("separateTrapLevels", cfg.pif.separateTrapLevels);
-
-    ResultValue out = ResultValue::object();
-    out.set("seed", cfg.seed);
-    out.set("l1iBytes", cfg.l1i.sizeBytes);
-    out.set("l1iAssoc", cfg.l1i.assoc);
-    out.set("pif", std::move(pif));
-    out.set("tifsHistoryEntries", cfg.tifs.historyEntries);
-    out.set("nextLineDegree", cfg.nextLine.degree);
-    out.set("memLatency", cfg.memory.memLatency);
-    return out;
-}
-
-ResultValue
 runExperiment(const ExperimentSpec &spec, const RunOptions &opts)
 {
     const ExperimentBudget budget = budgetOf(spec, opts);
@@ -939,119 +911,6 @@ runExperiment(const ExperimentSpec &spec, const RunOptions &opts)
         notes.push(spec.paperShape);
     doc.set("notes", std::move(notes));
     return doc;
-}
-
-// --------------------------------------------------- config overrides
-
-bool
-parseU64Value(const std::string &s, std::uint64_t &out)
-{
-    // strtoull silently wraps negatives to huge values; reject them.
-    if (s.empty() || s.find('-') != std::string::npos)
-        return false;
-    char *end = nullptr;
-    errno = 0;
-    const unsigned long long v = std::strtoull(s.c_str(), &end, 0);
-    if (errno != 0 || !end || *end != '\0')
-        return false;
-    out = v;
-    return true;
-}
-
-namespace {
-
-/** The field an override key sets; every field is one of these. */
-using OverrideField = std::variant<std::uint64_t *, unsigned *, bool *>;
-
-/** Every override key and the field of @p c it sets, in list order. */
-std::vector<std::pair<const char *, OverrideField>>
-overrideFields(SystemConfig &c)
-{
-    return {
-        {"seed", &c.seed},
-        {"threads", &c.threads},
-        {"l1i.sizeBytes", &c.l1i.sizeBytes},
-        {"l1i.assoc", &c.l1i.assoc},
-        {"l1i.mshrs", &c.l1i.mshrs},
-        {"memory.memLatency", &c.memory.memLatency},
-        {"memory.l2HitLatency", &c.memory.l2HitLatency},
-        {"core.robEntries", &c.core.robEntries},
-        {"core.dispatchWidth", &c.core.dispatchWidth},
-        {"core.retireWidth", &c.core.retireWidth},
-        {"pif.blocksBefore", &c.pif.blocksBefore},
-        {"pif.blocksAfter", &c.pif.blocksAfter},
-        {"pif.temporalEntries", &c.pif.temporalEntries},
-        {"pif.historyRegions", &c.pif.historyRegions},
-        {"pif.indexEntries", &c.pif.indexEntries},
-        {"pif.numSabs", &c.pif.numSabs},
-        {"pif.sabWindowRegions", &c.pif.sabWindowRegions},
-        {"pif.separateTrapLevels", &c.pif.separateTrapLevels},
-        {"tifs.historyEntries", &c.tifs.historyEntries},
-        {"tifs.sabWindowBlocks", &c.tifs.sabWindowBlocks},
-        {"nextLine.degree", &c.nextLine.degree},
-    };
-}
-
-/** Parse @p s into @p field: empty on success, else why not. */
-std::string
-setField(bool *field, const std::string &s)
-{
-    const bool on = s == "1" || s == "true" || s == "on";
-    if (!on && s != "0" && s != "false" && s != "off")
-        return " (want 1/true/on or 0/false/off)";
-    *field = on;
-    return {};
-}
-
-template <typename Field>
-std::string
-setField(Field *field, const std::string &s)
-{
-    std::uint64_t u = 0;
-    if (!parseU64Value(s, u))
-        return " (want a non-negative integer)";
-    // Refuse what would truncate: 2^32 + 4 SABs would run as 4.
-    if (u > std::numeric_limits<Field>::max())
-        return " (wider than its " +
-               std::to_string(std::numeric_limits<Field>::digits) +
-               "-bit field)";
-    *field = static_cast<Field>(u);
-    return {};
-}
-
-} // namespace
-
-bool
-applyConfigOverride(SystemConfig &cfg, const std::string &key,
-                    const std::string &value, std::string *err)
-{
-    for (const auto &[name, field] : overrideFields(cfg)) {
-        if (key != name)
-            continue;
-        const std::string why = std::visit(
-            [&](auto *f) { return setField(f, value); }, field);
-        if (!why.empty() && err)
-            *err = "bad value '" + value + "' for override '" + key +
-                   "'" + why;
-        return why.empty();
-    }
-    if (err)
-        *err = "unknown override key '" + key +
-               "' (see `pifetch list` for keys)";
-    return false;
-}
-
-const std::vector<std::string> &
-configOverrideKeys()
-{
-    static const std::vector<std::string> keys = [] {
-        SystemConfig scratch;
-        std::vector<std::string> out;
-        for (const auto &entry : overrideFields(scratch))
-            out.push_back(entry.first);
-        return out;
-    }();
-    return keys;
 }
 
 std::string
@@ -1100,11 +959,6 @@ validateSweepGrid(const std::vector<SweepAxis> &axes,
     std::set<std::string> keys;
     std::uint64_t points = 1;
     for (const SweepAxis &axis : axes) {
-        if (axis.key == "threads") {
-            return std::string("'threads' is not sweepable (results "
-                               "are thread-invariant); use --threads "
-                               "for the fan-out width");
-        }
         if (!keys.insert(axis.key).second)
             return "sweep axis " + axis.key + " given twice";
         // Bounded before each multiply, so the product cannot wrap and

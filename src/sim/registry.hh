@@ -93,38 +93,12 @@ const ExperimentSpec *findExperiment(const std::string &name);
 ResultValue runExperiment(const ExperimentSpec &spec,
                           const RunOptions &opts);
 
-/** Key system-configuration parameters as a result object. */
-ResultValue configToResult(const SystemConfig &cfg);
-
-/**
- * Apply a `key=value` configuration override ("pif.historyRegions",
- * "nextLine.degree", "seed", ...). Returns false on an unknown key, an
- * unparsable value or one wider than its field, and says which in
- * @p err. It does not bound the result; run validateSystemConfig()
- * once all overrides are applied. configOverrideKeys() lists the
- * supported keys.
- */
-bool applyConfigOverride(SystemConfig &cfg, const std::string &key,
-                         const std::string &value,
-                         std::string *err = nullptr);
-
-/** The override keys applyConfigOverride understands. */
-const std::vector<std::string> &configOverrideKeys();
-
-/**
- * Strict non-negative integer parse (base 0: decimal/hex/octal).
- * Rejects negatives outright — strtoull would wrap them to huge
- * values, turning a typo like "-1" into 1.8e19 instructions. Shared
- * by the config overrides and the CLI's numeric options.
- */
-bool parseU64Value(const std::string &s, std::uint64_t &out);
-
 /** `git describe` of the build, or "unknown" outside a git checkout. */
 std::string gitDescribe();
 
 // ------------------------------------------------------ parameter sweeps
 
-/** One sweep axis: a config-override key and its value list. */
+/** One sweep axis: a config-table key and its value list. */
 struct SweepAxis
 {
     std::string key;
@@ -145,9 +119,8 @@ sweepPointParams(const std::vector<SweepAxis> &axes, std::uint64_t p);
 /**
  * Check a sweep grid against @p base, the configuration every point
  * starts from: no key given twice (the later override would win under
- * both labels); no `threads` axis (results are thread-invariant and
- * each point runs serially); every value must apply to its key; every
- * point's configuration must pass validateSystemConfig(); at most 2^20
+ * both labels); every value must apply to its key; every point's
+ * configuration must pass validateSystemConfig(); at most 2^20
  * points. Returns nullopt when valid, else the first problem.
  */
 std::optional<std::string>

@@ -7,23 +7,8 @@
 
 namespace pifetch {
 
-namespace {
-
-TemporalPredictorConfig
-studyConfig()
-{
-    TemporalPredictorConfig cfg;
-    cfg.historyCapacity = 0;
-    cfg.indexEntries = 0;
-    cfg.numStreams = 4;
-    cfg.window = 16;
-    return cfg;
-}
-
-} // namespace
-
 StreamLengthStudy::StreamLengthStudy(unsigned max_log2)
-    : pred_(studyConfig()), hist_(max_log2)
+    : pred_(TemporalPredictorConfig{}), hist_(max_log2)
 {
     pred_.onEpisodeEnd([this](const StreamEpisode &ep) {
         if (ep.matched > 0) {

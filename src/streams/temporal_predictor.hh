@@ -24,7 +24,11 @@
 
 namespace pifetch {
 
-/** Sizing for TemporalStreamPredictor. */
+/**
+ * Sizing for TemporalStreamPredictor. The defaults are the one sizing
+ * of the Figure 2, 7 and 9-left studies, which construct it as
+ * `TemporalPredictorConfig{}`.
+ */
 struct TemporalPredictorConfig
 {
     /** History elements retained; 0 = unbounded. */

@@ -199,6 +199,20 @@ buildFunctionBody(const WorkloadParams &p, double mean_blocks,
 
 } // namespace
 
+const std::vector<std::string> &
+workloadParamKeys()
+{
+    static const std::vector<std::string> keys = [] {
+        std::vector<std::string> out;
+        const WorkloadParams scratch;
+        forEachWorkloadParam(scratch, [&](const char *key, const auto &) {
+            out.push_back(key);
+        });
+        return out;
+    }();
+    return keys;
+}
+
 std::optional<std::string>
 validateWorkloadParams(const WorkloadParams &p)
 {

@@ -18,6 +18,7 @@
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <vector>
 
 #include "trace/program.hh"
 
@@ -101,6 +102,43 @@ struct WorkloadParams
     /** Call depth at which further calls are elided. */
     unsigned maxCallDepth = 24;
 };
+
+/**
+ * The one table of WorkloadParams' 22 generator knobs, every field but
+ * `name`: calls `fn(key, field)` for each, in document order. Spec
+ * files' `params`, a scenario's `params` and their writers all loop
+ * over it. @p p may be const.
+ */
+template <typename Params, typename Fn>
+void
+forEachWorkloadParam(Params &p, Fn &&fn)
+{
+    fn("seed", p.seed);
+    fn("appFunctions", p.appFunctions);
+    fn("libFunctions", p.libFunctions);
+    fn("handlers", p.handlers);
+    fn("meanFnBlocks", p.meanFnBlocks);
+    fn("maxFnBlocks", p.maxFnBlocks);
+    fn("meanHandlerBlocks", p.meanHandlerBlocks);
+    fn("meanBasicBlockInstrs", p.meanBasicBlockInstrs);
+    fn("callDensity", p.callDensity);
+    fn("meanAppCalls", p.meanAppCalls);
+    fn("condDensity", p.condDensity);
+    fn("jumpDensity", p.jumpDensity);
+    fn("biasedFraction", p.biasedFraction);
+    fn("dataDepLo", p.dataDepLo);
+    fn("dataDepHi", p.dataDepHi);
+    fn("loopsPerFunction", p.loopsPerFunction);
+    fn("meanLoopIter", p.meanLoopIter);
+    fn("zipfS", p.zipfS);
+    fn("callLayers", p.callLayers);
+    fn("transactions", p.transactions);
+    fn("interruptRate", p.interruptRate);
+    fn("maxCallDepth", p.maxCallDepth);
+}
+
+/** The table's keys, in table order. */
+const std::vector<std::string> &workloadParamKeys();
 
 /**
  * Validate a WorkloadParams point against the generator's parameter

@@ -10,7 +10,6 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
-#include <initializer_list>
 #include <sstream>
 
 #include "trace/server_suite.hh"
@@ -21,206 +20,22 @@ namespace {
 
 constexpr std::uint64_t goldenRatio = 0x9e3779b97f4a7c15ull;
 
-/** First-error accumulator for the strict decoder. */
-struct Strict
-{
-    std::string err;
-
-    bool ok() const { return err.empty(); }
-
-    bool
-    fail(const std::string &msg)
-    {
-        if (err.empty())
-            err = msg;
-        return false;
-    }
-};
-
-/**
- * Reject members outside the schema. This is what makes the spec
- * surface strict (unlike the scenario reader, which tolerates unknown
- * keys for forward compatibility of repro documents).
- */
-void
-checkKeys(const ResultValue &obj, const std::string &where,
-          std::initializer_list<const char *> allowed, Strict &st)
-{
-    for (std::size_t i = 0; i < obj.size(); ++i) {
-        const std::string &key = obj.member(i).first;
-        bool known = false;
-        for (const char *a : allowed)
-            known |= key == a;
-        if (!known)
-            st.fail(where + ": unknown key '" + key + "'");
-    }
-}
-
-bool
-requireObject(const ResultValue *v, const std::string &where, Strict &st)
-{
-    if (!v || v->kind() != ResultValue::Kind::Object)
-        return st.fail(where + " must be a JSON object");
-    return true;
-}
-
-/** Optional string member; absent keeps @p out. */
-void
-getString(const ResultValue &obj, const char *key,
-          const std::string &where, std::string &out, Strict &st)
-{
-    const ResultValue *m = obj.find(key);
-    if (!m)
-        return;
-    if (m->kind() != ResultValue::Kind::String) {
-        st.fail(where + " member '" + key + "' must be a string");
-        return;
-    }
-    out = m->str();
-}
-
-/** Optional non-negative integer member; absent keeps @p out. */
-void
-getU64(const ResultValue &obj, const char *key, const std::string &where,
-       std::uint64_t &out, Strict &st)
-{
-    const ResultValue *m = obj.find(key);
-    if (!m)
-        return;
-    if (m->kind() == ResultValue::Kind::Uint) {
-        out = m->uintValue();
-    } else if (m->kind() == ResultValue::Kind::Int && m->intValue() >= 0) {
-        out = static_cast<std::uint64_t>(m->intValue());
-    } else {
-        st.fail(where + " member '" + key +
-                "' must be a non-negative integer");
-    }
-}
-
-/** Optional unsigned member with a fits-in-32-bits check. */
-void
-getUnsigned(const ResultValue &obj, const char *key,
-            const std::string &where, unsigned &out, Strict &st)
-{
-    std::uint64_t wide = out;
-    getU64(obj, key, where, wide, st);
-    if (!st.ok())
-        return;
-    if (wide > 0xffffffffull) {
-        st.fail(where + " member '" + key + "' does not fit in 32 bits");
-        return;
-    }
-    out = static_cast<unsigned>(wide);
-}
-
-/** Optional finite-number member; absent keeps @p out. */
-void
-getDouble(const ResultValue &obj, const char *key,
-          const std::string &where, double &out, Strict &st)
-{
-    const ResultValue *m = obj.find(key);
-    if (!m)
-        return;
-    if (!m->isNumber()) {
-        st.fail(where + " member '" + key + "' must be a number");
-        return;
-    }
-    const double v = m->number();
-    if (!std::isfinite(v)) {
-        st.fail(where + " member '" + key + "' must be finite");
-        return;
-    }
-    out = v;
-}
-
 /** Optional interrupt-rate member: present values must be in range. */
 void
-getRate(const ResultValue &obj, const char *key, const std::string &where,
-        double &out, Strict &st)
+getRate(const MemberReader &read, const char *key, double &out)
 {
-    if (!obj.find(key))
+    if (!read.obj.find(key))
         return;
     double v = 0.0;
-    getDouble(obj, key, where, v, st);
-    if (!st.ok())
+    read(key, v);
+    if (!read.st.ok())
         return;
     if (v < 0.0 || v > 0.01) {
-        st.fail(where + " member '" + key + "' must be in [0, 0.01]");
+        read.st.fail(read.where + " member '" + key +
+                     "' must be in [0, 0.01]");
         return;
     }
     out = v;
-}
-
-/**
- * Decode generator-parameter overrides. Every WorkloadParams knob is
- * addressable except `name` (the program name mirrors into it).
- */
-void
-decodeParams(const ResultValue &obj, const std::string &where,
-             WorkloadParams &p, Strict &st)
-{
-    checkKeys(obj, where,
-              {"seed", "appFunctions", "libFunctions", "handlers",
-               "meanFnBlocks", "maxFnBlocks", "meanHandlerBlocks",
-               "meanBasicBlockInstrs", "callDensity", "meanAppCalls",
-               "condDensity", "jumpDensity", "biasedFraction",
-               "dataDepLo", "dataDepHi", "loopsPerFunction",
-               "meanLoopIter", "zipfS", "callLayers", "transactions",
-               "interruptRate", "maxCallDepth"},
-              st);
-    getU64(obj, "seed", where, p.seed, st);
-    getUnsigned(obj, "appFunctions", where, p.appFunctions, st);
-    getUnsigned(obj, "libFunctions", where, p.libFunctions, st);
-    getUnsigned(obj, "handlers", where, p.handlers, st);
-    getDouble(obj, "meanFnBlocks", where, p.meanFnBlocks, st);
-    getUnsigned(obj, "maxFnBlocks", where, p.maxFnBlocks, st);
-    getDouble(obj, "meanHandlerBlocks", where, p.meanHandlerBlocks, st);
-    getDouble(obj, "meanBasicBlockInstrs", where, p.meanBasicBlockInstrs,
-              st);
-    getDouble(obj, "callDensity", where, p.callDensity, st);
-    getDouble(obj, "meanAppCalls", where, p.meanAppCalls, st);
-    getDouble(obj, "condDensity", where, p.condDensity, st);
-    getDouble(obj, "jumpDensity", where, p.jumpDensity, st);
-    getDouble(obj, "biasedFraction", where, p.biasedFraction, st);
-    getDouble(obj, "dataDepLo", where, p.dataDepLo, st);
-    getDouble(obj, "dataDepHi", where, p.dataDepHi, st);
-    getDouble(obj, "loopsPerFunction", where, p.loopsPerFunction, st);
-    getDouble(obj, "meanLoopIter", where, p.meanLoopIter, st);
-    getDouble(obj, "zipfS", where, p.zipfS, st);
-    getUnsigned(obj, "callLayers", where, p.callLayers, st);
-    getUnsigned(obj, "transactions", where, p.transactions, st);
-    getDouble(obj, "interruptRate", where, p.interruptRate, st);
-    getUnsigned(obj, "maxCallDepth", where, p.maxCallDepth, st);
-}
-
-/** Serialize the resolved generator parameters (all knobs but name). */
-ResultValue
-paramsToSpecResult(const WorkloadParams &p)
-{
-    ResultValue v = ResultValue::object();
-    v.set("seed", p.seed);
-    v.set("appFunctions", p.appFunctions);
-    v.set("libFunctions", p.libFunctions);
-    v.set("handlers", p.handlers);
-    v.set("meanFnBlocks", p.meanFnBlocks);
-    v.set("maxFnBlocks", p.maxFnBlocks);
-    v.set("meanHandlerBlocks", p.meanHandlerBlocks);
-    v.set("meanBasicBlockInstrs", p.meanBasicBlockInstrs);
-    v.set("callDensity", p.callDensity);
-    v.set("meanAppCalls", p.meanAppCalls);
-    v.set("condDensity", p.condDensity);
-    v.set("jumpDensity", p.jumpDensity);
-    v.set("biasedFraction", p.biasedFraction);
-    v.set("dataDepLo", p.dataDepLo);
-    v.set("dataDepHi", p.dataDepHi);
-    v.set("loopsPerFunction", p.loopsPerFunction);
-    v.set("meanLoopIter", p.meanLoopIter);
-    v.set("zipfS", p.zipfS);
-    v.set("callLayers", p.callLayers);
-    v.set("transactions", p.transactions);
-    v.set("interruptRate", p.interruptRate);
-    v.set("maxCallDepth", p.maxCallDepth);
-    return v;
 }
 
 bool
@@ -366,10 +181,15 @@ specToResult(const WorkloadSpec &spec)
 
     ResultValue programs = ResultValue::array();
     for (const WorkloadSpecProgram &pr : spec.programs) {
+        ResultValue params = ResultValue::object();
+        forEachWorkloadParam(pr.params, [&](const char *key,
+                                            const auto &value) {
+            params.set(key, value);
+        });
         ResultValue p = ResultValue::object();
         p.set("name", pr.name);
         p.set("base", pr.base);
-        p.set("params", paramsToSpecResult(pr.params));
+        p.set("params", std::move(params));
         programs.push(std::move(p));
     }
     doc.set("programs", std::move(programs));
@@ -407,17 +227,16 @@ workloadSpecFromResult(const ResultValue &doc, std::string *err)
             *err = "workload spec root must be a JSON object";
         return std::nullopt;
     }
-    checkKeys(doc, "spec",
-              {"name", "title", "group", "description", "seed",
-               "programs", "phases"},
-              st);
-    getString(doc, "name", "spec", spec.name, st);
+    const MemberReader root{doc, "spec", st};
+    root.only({"name", "title", "group", "description", "seed",
+               "programs", "phases"});
+    root("name", spec.name);
     if (st.ok() && spec.name.empty())
         st.fail("spec: missing required member 'name'");
-    getString(doc, "title", "spec", spec.title, st);
-    getString(doc, "group", "spec", spec.group, st);
-    getString(doc, "description", "spec", spec.description, st);
-    getU64(doc, "seed", "spec", spec.seed, st);
+    root("title", spec.title);
+    root("group", spec.group);
+    root("description", spec.description);
+    root("seed", spec.seed);
 
     const ResultValue *programs = doc.find("programs");
     if (!programs || programs->kind() != ResultValue::Kind::Array ||
@@ -431,13 +250,14 @@ workloadSpecFromResult(const ResultValue &doc, std::string *err)
             "programs[" + std::to_string(i) + "]";
         if (!requireObject(&node, where, st))
             break;
-        checkKeys(node, where, {"name", "base", "params"}, st);
+        const MemberReader read{node, where, st};
+        read.only({"name", "base", "params"});
 
         WorkloadSpecProgram pr;
-        getString(node, "name", where, pr.name, st);
+        read("name", pr.name);
         if (st.ok() && pr.name.empty())
             st.fail(where + ": missing required member 'name'");
-        getString(node, "base", where, pr.base, st);
+        read("base", pr.base);
         if (!st.ok())
             break;
 
@@ -457,9 +277,13 @@ workloadSpecFromResult(const ResultValue &doc, std::string *err)
                 spec.seed + (static_cast<std::uint64_t>(i) + 1) *
                                 goldenRatio;
         }
-        if (const ResultValue *params = node.find("params")) {
-            if (requireObject(params, where + ".params", st))
-                decodeParams(*params, where + ".params", pr.params, st);
+        // Every knob is addressable except `name`, which mirrors the
+        // program name.
+        const ResultValue *params = node.find("params");
+        if (params && requireObject(params, where + ".params", st)) {
+            const MemberReader knobs{*params, where + ".params", st};
+            knobs.only(workloadParamKeys());
+            forEachWorkloadParam(pr.params, knobs);
         }
         pr.params.name = pr.name;
         spec.programs.push_back(std::move(pr));
@@ -474,21 +298,19 @@ workloadSpecFromResult(const ResultValue &doc, std::string *err)
         const std::string where = "phases[" + std::to_string(i) + "]";
         if (!requireObject(&node, where, st))
             break;
-        checkKeys(node, where,
-                  {"name", "instructions", "mix", "interruptRate",
-                   "interruptRateEnd"},
-                  st);
+        const MemberReader read{node, where, st};
+        read.only({"name", "instructions", "mix", "interruptRate",
+                   "interruptRateEnd"});
 
         WorkloadSpecPhase ph;
-        getString(node, "name", where, ph.name, st);
+        read("name", ph.name);
         if (st.ok() && ph.name.empty())
             st.fail(where + ": missing required member 'name'");
         if (st.ok() && !node.find("instructions"))
             st.fail(where + ": missing required member 'instructions'");
-        getU64(node, "instructions", where, ph.instructions, st);
-        getRate(node, "interruptRate", where, ph.interruptRate, st);
-        getRate(node, "interruptRateEnd", where, ph.interruptRateEnd,
-                st);
+        read("instructions", ph.instructions);
+        getRate(read, "interruptRate", ph.interruptRate);
+        getRate(read, "interruptRateEnd", ph.interruptRateEnd);
         if (const ResultValue *mix = node.find("mix")) {
             if (requireObject(mix, where + ".mix", st)) {
                 for (std::size_t m = 0; m < mix->size(); ++m) {

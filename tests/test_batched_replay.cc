@@ -182,14 +182,14 @@ TEST(ZooBatched, BatchedMatchesScalarOrderOnZooSpecs)
 
 /**
  * Unobserved runs at two batch lengths against an observed run, for
- * every prefetcher on one workload.
+ * every prefetcher on one workload under @p cfg.
  */
 void
 expectObservedMatchesUnobserved(const Program &prog,
                                 const ExecutorConfig &exec,
+                                const SystemConfig &cfg,
                                 const std::string &label)
 {
-    const SystemConfig cfg{};
     for (const PrefetcherKind kind :
          {PrefetcherKind::None, PrefetcherKind::NextLine,
           PrefetcherKind::Tifs, PrefetcherKind::Discontinuity,
@@ -234,8 +234,18 @@ TEST(UnobservedBatched, BulkFastPathMatchesObservedScalarCounters)
     // every simulation counter must agree between the two, and the
     // batch length must not matter for the unobserved run either.
     const ServerWorkload w = ServerWorkload::OltpDb2;
-    expectObservedMatchesUnobserved(buildWorkloadProgram(w),
-                                    executorConfigFor(w), workloadKey(w));
+    const Program db2 = buildWorkloadProgram(w);
+    expectObservedMatchesUnobserved(db2, executorConfigFor(w),
+                                    SystemConfig{}, workloadKey(w));
+
+    // A 64-block lookahead on the 64-slot queue leaves work after the
+    // engine's 16-block drain per instruction, so same-block runs
+    // drain inside the run and a loop that stops draining early moves
+    // next-line's counters by far.
+    SystemConfig deep;
+    deep.nextLine.degree = 64;
+    expectObservedMatchesUnobserved(db2, executorConfigFor(w), deep,
+                                    workloadKey(w) + "/degree64");
 
     // On jit_churn, some same-block runs still find prefetches queued
     // after their first drain, so a run that stops draining too early
@@ -246,7 +256,8 @@ TEST(UnobservedBatched, BulkFastPathMatchesObservedScalarCounters)
     ASSERT_TRUE(spec.has_value()) << err;
     const WorkloadRef ref = workloadRefFromSpec(std::move(*spec));
     expectObservedMatchesUnobserved(ref.buildProgram(),
-                                    ref.executorConfig(), "jit_churn");
+                                    ref.executorConfig(), SystemConfig{},
+                                    "jit_churn");
 }
 
 TEST(ReplayBatch, ExecutorBatchesMatchTheEnginesOwnLoop)

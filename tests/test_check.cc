@@ -115,6 +115,80 @@ TEST(Scenario, JsonRoundTripIsExact)
     }
 }
 
+TEST(Scenario, EveryConfigKeySurvivesTheRoundTrip)
+{
+    // Each table key at a value other than its default, all valid
+    // together: every one must come back from the file.
+    const std::vector<std::pair<std::string, std::string>> changed = {
+        {"seed", "7"},
+        {"l1i.sizeBytes", "32768"},
+        {"l1i.assoc", "4"},
+        {"l1i.mshrs", "8"},
+        {"memory.memLatency", "300"},
+        {"memory.l2HitLatency", "40"},
+        {"core.robEntries", "24"},
+        {"core.dispatchWidth", "2"},
+        {"core.retireWidth", "2"},
+        {"pif.blocksBefore", "1"},
+        {"pif.blocksAfter", "3"},
+        {"pif.temporalEntries", "2"},
+        {"pif.historyRegions", "1024"},
+        {"pif.indexEntries", "1024"},
+        {"pif.indexAssoc", "2"},
+        {"pif.numSabs", "2"},
+        {"pif.sabWindowRegions", "3"},
+        {"pif.separateTrapLevels", "false"},
+        {"tifs.historyEntries", "1024"},
+        {"tifs.numSabs", "2"},
+        {"tifs.sabWindowBlocks", "6"},
+        {"nextLine.degree", "2"},
+    };
+    ASSERT_EQ(changed.size(), configKeys().size());
+    Scenario sc = scenarioFromSeed(1);
+    sc.cfg = SystemConfig{};
+    const ResultValue defaults = configToResult(sc.cfg);
+    for (const auto &[key, value] : changed)
+        ASSERT_TRUE(applyConfigOverride(sc.cfg, key, value)) << key;
+    ASSERT_FALSE(validateScenario(sc).has_value());
+
+    std::string err;
+    const auto doc = parseJson(toJson(toResult(sc), 2), &err);
+    ASSERT_TRUE(doc.has_value()) << err;
+    const auto back = scenarioFromResult(*doc, &err);
+    ASSERT_TRUE(back.has_value()) << err;
+    EXPECT_TRUE(back->cfg == sc.cfg);
+    const ResultValue written = configToResult(back->cfg);
+    for (const std::string &key : configKeys()) {
+        ASSERT_NE(written.find(key), nullptr) << key;
+        EXPECT_NE(*written.find(key), *defaults.find(key)) << key;
+    }
+}
+
+TEST(Scenario, ParserRefusesUnknownKeysByName)
+{
+    // A misspelt key would otherwise replay its field at the default,
+    // and an extra one would be ignored: both replay another scenario
+    // than the file claims to hold.
+    const struct
+    {
+        const char *member, *key, *why;
+    } cases[] = {
+        {"config", "l1i.sizeBites",
+         "scenario.config: unknown key 'l1i.sizeBites'"},
+        {"config", "bogus", "scenario.config: unknown key 'bogus'"},
+        {"config", "pif.numSab", "scenario.config: unknown key 'pif.numSab'"},
+        {"params", "typo", "scenario.params: unknown key 'typo'"},
+        {nullptr, "shrunkk", "scenario: unknown key 'shrunkk'"},
+    };
+    for (const auto &c : cases) {
+        ResultValue doc = toResult(scenarioFromSeed(1));
+        (c.member ? *doc.find(c.member) : doc).set(c.key, 1);
+        std::string err;
+        EXPECT_FALSE(scenarioFromResult(doc, &err).has_value()) << c.key;
+        EXPECT_EQ(err, c.why);
+    }
+}
+
 TEST(Scenario, ParserUnwrapsFailureDocuments)
 {
     const Scenario sc = scenarioFromSeed(3);

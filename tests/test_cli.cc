@@ -64,6 +64,10 @@ TEST(Cli, FailureExits)
     } cases[] = {
         {{"run", "fig2-streams", "--set", "l1i.assoc=0"}, 2},
         {{"run", "fig2-streams", "--set", "pif.numSabs=4294967300"}, 2},
+        // --threads is the one way to set the thread count.
+        {{"run", "fig2-streams", "--set", "threads=2"}, 2},
+        {swept({"--param", "threads=1,2"}), 2},
+        {{"run", "fig2-streams", "--threads", "4294967297"}, 2},
         {swept({"--param", "pif.blocksBefore=1,zzz"}), 2},
         {swept({"--param", "pif.numSabs=1,2", "--param", "pif.numSabs=4,8"}),
          2},

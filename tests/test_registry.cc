@@ -127,6 +127,8 @@ TEST(ConfigOverrides, ApplyParseAndReject)
     EXPECT_FALSE(applyConfigOverride(cfg, "trap.handlerCount", "1"));
     // The engines model one core, so no numCores key exists either.
     EXPECT_FALSE(applyConfigOverride(cfg, "numCores", "1"));
+    // The thread count moves no result: --threads is its one way in.
+    EXPECT_FALSE(applyConfigOverride(cfg, "threads", "2"));
     EXPECT_FALSE(applyConfigOverride(cfg, "seed", "notanumber"));
     EXPECT_FALSE(applyConfigOverride(cfg, "pif.separateTrapLevels",
                                      "maybe"));
@@ -146,7 +148,7 @@ TEST(ConfigOverrides, ApplyParseAndReject)
     EXPECT_NE(err.find("wider than"), std::string::npos) << err;
 
     // Every advertised key accepts at least one sensible value.
-    for (const std::string &key : configOverrideKeys()) {
+    for (const std::string &key : configKeys()) {
         SystemConfig scratch;
         const bool ok = applyConfigOverride(scratch, key, "1") ||
                         applyConfigOverride(scratch, key, "true");
@@ -175,18 +177,19 @@ TEST(ConfigOverrides, EveryKeyChangesSomeResultTable)
         {"pif.temporalEntries", "1"},
         {"pif.historyRegions", "64"},
         {"pif.indexEntries", "64"},
+        {"pif.indexAssoc", "1"},
         {"pif.numSabs", "1"},
         {"pif.sabWindowRegions", "1"},
         {"pif.separateTrapLevels", "0"},
         {"tifs.historyEntries", "64"},
+        {"tifs.numSabs", "1"},
         {"tifs.sabWindowBlocks", "1"},
         {"nextLine.degree", "1"},
     };
-    // Results are thread-invariant, so threads alone is exempt. A new
-    // key fails here until it has a reader and a value above.
-    std::set<std::string> keys(configOverrideKeys().begin(),
-                               configOverrideKeys().end());
-    keys.erase("threads");
+    // No key is exempt. A new key fails here until it has a reader and
+    // a value above.
+    const std::set<std::string> keys(configKeys().begin(),
+                                     configKeys().end());
     std::set<std::string> valued;
     for (const auto &kv : second)
         valued.insert(kv.first);
@@ -224,13 +227,49 @@ TEST(ConfigOverrides, EveryKeyChangesSomeResultTable)
 TEST(ConfigOverrides, RefuseValuesWiderThanTheirField)
 {
     SystemConfig cfg;
-    // 2^32 + 4 SABs would run as 4, and 2^32 + 1 threads as 1.
+    // 2^32 + 4 SABs would run as 4, and 2^32 + 1 degrees as 1.
     EXPECT_FALSE(applyConfigOverride(cfg, "pif.numSabs", "4294967300"));
-    EXPECT_FALSE(applyConfigOverride(cfg, "threads", "4294967297"));
+    EXPECT_FALSE(applyConfigOverride(cfg, "nextLine.degree", "4294967297"));
     EXPECT_EQ(cfg.pif.numSabs, SystemConfig{}.pif.numSabs);
-    EXPECT_EQ(cfg.threads, 0u);
+    EXPECT_EQ(cfg.nextLine.degree, SystemConfig{}.nextLine.degree);
     EXPECT_TRUE(applyConfigOverride(cfg, "seed", "18446744073709551615"));
     EXPECT_TRUE(applyConfigOverride(cfg, "l1i.assoc", "4294967295"));
+}
+
+TEST(ConfigOverrides, MetaConfigRecordsEveryTableKey)
+{
+    // meta.config is the table's flat object: every key, each value
+    // as it ran, each pair fit to pass back to --set.
+    const ExperimentSpec *spec = findExperiment("table1");
+    ASSERT_NE(spec, nullptr);
+    RunOptions opts = tinyOptions();
+    ASSERT_TRUE(applyConfigOverride(opts.cfg, "memory.l2HitLatency", "40"));
+    ASSERT_TRUE(applyConfigOverride(opts.cfg, "core.robEntries", "24"));
+    ASSERT_TRUE(applyConfigOverride(opts.cfg, "pif.indexAssoc", "2"));
+    const ResultValue doc = runExperiment(*spec, opts);
+    const ResultValue &config = *doc.find("meta")->find("config");
+    ASSERT_EQ(config.size(), configKeys().size());
+    SystemConfig replayed;
+    for (std::size_t i = 0; i < config.size(); ++i) {
+        const auto &[key, value] = config.member(i);
+        EXPECT_EQ(key, configKeys()[i]);
+        const std::string text =
+            value.kind() == ResultValue::Kind::Bool
+                ? (value.boolean() ? "true" : "false")
+                : std::to_string(value.uintValue());
+        EXPECT_TRUE(applyConfigOverride(replayed, key, text)) << key;
+    }
+    EXPECT_TRUE(replayed == opts.cfg);
+
+    // Runs that differ only in memory.l2HitLatency differ in
+    // meta.config too.
+    RunOptions base = tinyOptions();
+    RunOptions slower = base;
+    slower.cfg.memory.l2HitLatency = 40;
+    const auto configOf = [&](const RunOptions &o) {
+        return toJson(*runExperiment(*spec, o).find("meta")->find("config"));
+    };
+    EXPECT_NE(configOf(base), configOf(slower));
 }
 
 TEST(ConfigOverrides, ValidateRejectsWhatTheSimulatorCannotRun)
@@ -255,7 +294,6 @@ TEST(ConfigOverrides, ValidateRejectsWhatTheSimulatorCannotRun)
         {"nextLine.degree", "4294967295", false},
         {"l1i.sizeBytes", "1000", false},
         {"pif.blocksBefore", "31", false},
-        {"threads", "257", false},
         {"pif.historyRegions", "0", true},
         {"pif.indexEntries", "0", true},
     };
@@ -265,6 +303,11 @@ TEST(ConfigOverrides, ValidateRejectsWhatTheSimulatorCannotRun)
         EXPECT_EQ(validateSystemConfig(cfg).has_value(), !c.valid)
             << c.key << "=" << c.value;
     }
+    // No --set key reaches the thread count; its bound stays.
+    SystemConfig wide;
+    wide.threads = 257;
+    EXPECT_EQ(validateSystemConfig(wide).value_or(""),
+              "threads must be in [0, 256]");
 }
 
 TEST(Sweep, PointParamsEnumerateFirstAxisOutermost)
@@ -311,7 +354,8 @@ TEST(Sweep, ValidateGridRefusesPointsThatWouldNotRunAsLabelled)
          "bad value 'zzz' for override 'pif.blocksBefore'"},
         // A point the simulator cannot run would stop the sweep midway.
         {{{"pif.numSabs", {"1", "0"}}}, "pif.numSabs=0"},
-        {{{"threads", {"1", "2"}}}, "threads"},
+        // --threads sets the fan-out; each point runs serially.
+        {{{"threads", {"1", "2"}}}, "unknown override key 'threads'"},
         // The later override wins, so the first axis would vanish.
         {{{"pif.numSabs", {"1", "2"}}, {"pif.numSabs", {"4", "8"}}},
          "sweep axis pif.numSabs given twice"},
